@@ -276,7 +276,11 @@ int main(int argc, char** argv) {
           if (!cdfg_file.empty() && name == cdfg_file) {
             std::ifstream f(cdfg_file);
             HLP_REQUIRE(f.good(), "cannot open '" << cdfg_file << "'");
-            return read_cdfg(f);
+            try {
+              return read_cdfg(f);
+            } catch (const Error& e) {
+              throw Error(cdfg_file + ": " + e.what());
+            }
           }
           return make_paper_benchmark(name);
         });

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -125,17 +124,8 @@ class Generator {
       }
     }
 
-    if (static_cast<int>(unconsumed_.size()) != profile_.num_outputs) {
-      if (std::getenv("HLP_GEN_DEBUG")) {
-        int mx = 0;
-        for (const ValueRef& v : unconsumed_)
-          mx = std::max(mx, value_depth(v));
-        std::fprintf(stderr, "gen fail: %s sinks=%zu want=%d maxdepth=%d\n",
-                     profile_.name.c_str(), unconsumed_.size(),
-                     profile_.num_outputs, mx);
-      }
+    if (static_cast<int>(unconsumed_.size()) != profile_.num_outputs)
       return false;
-    }
     for (int i = 0; i < profile_.num_outputs; ++i)
       g_.add_output("out" + std::to_string(i), unconsumed_[i]);
     g_.validate();

@@ -82,7 +82,9 @@ Cdfg read_cdfg(std::istream& is) {
                                  << tok[0] << "'");
     }
   }
-  HLP_REQUIRE(saw_header, "missing 'cdfg <name>' header");
+  HLP_REQUIRE(saw_header, "line " << line_no
+                                   << ": end of input without a 'cdfg <name>' "
+                                      "header");
   g.validate();
   return g;
 }

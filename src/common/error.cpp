@@ -4,8 +4,10 @@ namespace hlp::detail {
 
 void throw_error(const char* file, int line, const char* cond,
                  const std::string& msg) {
+  if (!file && !msg.empty()) throw Error(msg);
   std::ostringstream oss;
-  oss << file << ":" << line << ": check `" << cond << "` failed";
+  if (file) oss << file << ":" << line << ": ";
+  oss << "check `" << cond << "` failed";
   if (!msg.empty()) oss << ": " << msg;
   throw Error(oss.str());
 }

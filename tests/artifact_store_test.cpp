@@ -100,7 +100,7 @@ ArtifactStore::Entry make_entry(double clock = 1.5) {
 
 ArtifactKey make_key(const std::string& binding = "binder|0x1p-1|4",
                      const std::string& sa = "estimate") {
-  return {"pr|list|2x2|4|42|gcafe", binding, sa, "auto", "auto"};
+  return {"pr|list|2x2|4|42|gcafe", binding, sa, "auto"};
 }
 
 void expect_entry_eq(const ArtifactStore::Entry& a,
@@ -315,6 +315,35 @@ TEST_F(ArtifactStoreFaults, TamperedModeTagIsRejected) {
   }
   store_->publish(key_, make_entry());
   EXPECT_EQ(read_file(path_), blob_);
+}
+
+TEST_F(ArtifactStoreFaults, PreviousFormatVersionIsRejectedAndRepaired) {
+  // A v1 object (it also carried a `settle` tag line) planted at the
+  // address the current key maps to: structurally an artifact, but of a
+  // format this build no longer reads.
+  std::string v1 = blob_;
+  const std::string header = "hlp-artifact v2\n";
+  ASSERT_EQ(v1.rfind(header, 0), 0u) << "unexpected current header";
+  v1.replace(0, header.size(), "hlp-artifact v1\n");
+  v1.insert(v1.find("simd "), "settle auto\n");
+  write_file(path_, v1);
+  try {
+    store_->load_strict(key_);
+    FAIL() << "v1 artifact loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 'v1'"),
+              std::string::npos)
+        << e.what();
+  }
+  store::FsckReport report = store_->fsck(/*repair=*/false);
+  ASSERT_EQ(report.rejected.size(), 1u);
+  EXPECT_NE(report.rejected[0].find("v1"), std::string::npos)
+      << report.rejected[0];
+  EXPECT_TRUE(fs::exists(path_));
+  report = store_->fsck(/*repair=*/true);
+  EXPECT_EQ(report.repaired, 1u);
+  EXPECT_FALSE(fs::exists(path_));
+  EXPECT_TRUE(store_->fsck(/*repair=*/false).clean());
 }
 
 TEST_F(ArtifactStoreFaults, StrayTempFilesNeverBecomeEntries) {

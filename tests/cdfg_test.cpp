@@ -2,6 +2,8 @@
 // (Table 1 profile fidelity).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cdfg/benchmarks.hpp"
 #include "cdfg/cdfg.hpp"
 #include "cdfg/io.hpp"
@@ -95,17 +97,28 @@ TEST(CdfgIo, RoundTrip) {
   EXPECT_EQ(h.num_ops(), 3);
 }
 
+// A parse error names the input line and no library source location.
+void expect_input_error(const std::string& text) {
+  try {
+    cdfg_from_string(text);
+    FAIL() << "accepted:\n" << text;
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
+}
+
 TEST(CdfgIo, ParseRejectsUnknownValue) {
-  EXPECT_THROW(cdfg_from_string("cdfg x\nop a add q r\n"), Error);
+  expect_input_error("cdfg x\nop a add q r\n");
 }
 
 TEST(CdfgIo, ParseRejectsUnknownKind) {
-  EXPECT_THROW(
-      cdfg_from_string("cdfg x\ninput a\nop z div a a\noutput o z\n"), Error);
+  expect_input_error("cdfg x\ninput a\nop z div a a\noutput o z\n");
 }
 
 TEST(CdfgIo, ParseRejectsMissingHeader) {
-  EXPECT_THROW(cdfg_from_string("input a\n"), Error);
+  expect_input_error("input a\n");
 }
 
 TEST(CdfgIo, CommentsAndBlanksIgnored) {

@@ -177,7 +177,7 @@ TEST(SaCacheExact, ExactModeIsDeterministicAndCached) {
 }
 
 TEST(SaCacheExact, ThreeBackendsDisagreeOnValues) {
-  // The mode axis changes entry VALUES (unlike the simd/settle knobs) —
+  // The mode axis changes entry VALUES (unlike the simd knob) —
   // that is the whole reason it keys caches, files and manifests. The
   // analytic estimate, the sampler and the exact engine price the same
   // partial datapath differently.
