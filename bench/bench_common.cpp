@@ -353,115 +353,8 @@ void print_worker_sweep(std::ostream& os,
   }
   t.print(os);
   os << "(ratio > 1: processes beat threads on this grid; worker spawn + "
-        "manifest I/O is the fixed cost, per-process SA tables the "
+        "frame I/O is the fixed cost, per-process SA tables the "
         "variable one)\n\n";
-}
-
-DispatchSweepReport dispatch_sweep(const std::vector<std::string>& benchmarks,
-                                   int num_seeds, int parallelism) {
-  using Clock = std::chrono::steady_clock;
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(num_seeds);
-  for (int s = 0; s < num_seeds; ++s) seeds.push_back(100 + s);
-
-  // Deliberately skewed job order AND cost: the anneal prefix carries 4x
-  // the Monte-Carlo vectors (heavy bind + heavy sim), the lopass tail a
-  // quarter (cheap smoke jobs), and the whole prefix lands in a
-  // contiguous static slice 0 while the tail is near-free.
-  std::vector<flow::Job> jobs;
-  std::size_t expensive = 0;
-  for (const flow::BinderSpec& spec :
-       {flow::BinderSpec{"anneal"}, flow::BinderSpec{"lopass"}}) {
-    for (const auto& name : benchmarks) {
-      flow::Job base = job(name, spec);
-      base.num_vectors = spec.name == "anneal"
-                             ? 4 * bench_vectors()
-                             : std::max(1, bench_vectors() / 4);
-      const auto part =
-          flow::ExperimentRunner::grid({name}, {spec}, seeds, {}, base);
-      jobs.insert(jobs.end(), part.begin(), part.end());
-    }
-    if (spec.name == "anneal") expensive = jobs.size();
-  }
-
-  DispatchSweepReport rep;
-  rep.num_jobs = static_cast<int>(jobs.size());
-  rep.expensive_jobs = static_cast<int>(expensive);
-  rep.parallelism = parallelism;
-
-  // All three sides are cold and private (NOT the process-wide
-  // sa_cache()), so the measurement isolates the dispatch axis.
-  flow::ExperimentRunner threaded(parallelism);
-  auto t0 = Clock::now();
-  const auto reference = threaded.run(jobs);
-  rep.threads_s = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  flow::DistributedRunner stat(parallelism, /*threads_per_worker=*/1);
-  stat.set_dispatch(flow::DispatchMode::kStatic);
-  t0 = Clock::now();
-  const auto by_slice = stat.run(jobs);
-  rep.static_s = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  flow::DistributedRunner stream(parallelism, /*threads_per_worker=*/1);
-  stream.set_dispatch(flow::DispatchMode::kStream);
-  t0 = Clock::now();
-  const auto by_unit = stream.run(jobs);
-  rep.stream_s = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  rep.identical = by_slice.size() == reference.size() &&
-                  by_unit.size() == reference.size();
-  for (std::size_t i = 0; rep.identical && i < reference.size(); ++i)
-    rep.identical = reference[i].ok &&
-                    flow::same_outcome(reference[i], by_slice[i]) &&
-                    flow::same_outcome(reference[i], by_unit[i]);
-  return rep;
-}
-
-void print_dispatch_sweep(std::ostream& os,
-                          const std::vector<std::string>& benchmarks,
-                          int num_seeds, int parallelism) {
-  if (parallelism <= 0) parallelism = flow::workers_from_env(2);
-  os << "Dispatch sweep: skewed grid (every anneal seed-group first, every "
-        "lopass group last) through "
-     << parallelism
-     << " in-process threads vs " << parallelism
-     << " worker processes under HLP_DISPATCH=static and =stream (all "
-        "cold, coalescing on; the modes are bit-identical, so 'identical' "
-        "must be yes)\n";
-  DispatchSweepReport rep;
-  try {
-    rep = dispatch_sweep(benchmarks, num_seeds, parallelism);
-  } catch (const std::exception& e) {
-    os << "  (dispatch sweep skipped: " << e.what() << ")\n\n";
-    return;
-  }
-  AsciiTable t({"dispatch", "jobs", "expensive prefix", "wall (ms)",
-                "static/this", "identical"});
-  t.row()
-      .add("threads")
-      .add(rep.num_jobs)
-      .add(rep.expensive_jobs)
-      .add(rep.threads_s * 1e3, 1)
-      .add(rep.threads_s > 0.0 ? rep.static_s / rep.threads_s : 0.0, 2)
-      .add(rep.identical ? "yes" : "NO");
-  t.row()
-      .add("static")
-      .add(rep.num_jobs)
-      .add(rep.expensive_jobs)
-      .add(rep.static_s * 1e3, 1)
-      .add(1.0, 2)
-      .add(rep.identical ? "yes" : "NO");
-  t.row()
-      .add("stream")
-      .add(rep.num_jobs)
-      .add(rep.expensive_jobs)
-      .add(rep.stream_s * 1e3, 1)
-      .add(rep.stream_speedup(), 2)
-      .add(rep.identical ? "yes" : "NO");
-  t.print(os);
-  os << "(static/this > 1: that dispatch beats the static split; the "
-        "stream row is the work-stealing payoff — the anneal prefix "
-        "spreads across every worker instead of gating slice 0)\n\n";
 }
 
 StoreSweepReport store_sweep(const std::string& name,

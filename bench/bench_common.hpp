@@ -166,38 +166,6 @@ void print_worker_sweep(std::ostream& os,
                         const std::vector<std::string>& benchmarks,
                         int num_seeds, int parallelism = 0);
 
-/// One static-vs-stream dispatch comparison on a deliberately skewed
-/// grid: every expensive anneal seed-group ordered first and every cheap
-/// lopass group last, so a contiguous static split hands slice 0 all the
-/// anneal work while the other workers race through lopass and idle
-/// behind the straggler. The same grid runs through `parallelism`
-/// in-process threads (the reference bits), a static-dispatch
-/// DistributedRunner and a stream-dispatch one; `identical` confirms all
-/// three agreed bit for bit (flow::same_outcome).
-struct DispatchSweepReport {
-  int num_jobs = 0;
-  int expensive_jobs = 0;  // the anneal prefix a static slice 0 absorbs
-  int parallelism = 0;
-  double threads_s = 0.0;
-  double static_s = 0.0;
-  double stream_s = 0.0;
-  bool identical = false;
-  double stream_speedup() const {
-    return stream_s > 0.0 ? static_s / stream_s : 0.0;
-  }
-};
-DispatchSweepReport dispatch_sweep(const std::vector<std::string>& benchmarks,
-                                   int num_seeds, int parallelism);
-
-/// Run dispatch_sweep and print the three-way wall-clock table (the
-/// work-stealing evidence in the distributed CI artifact and the README's
-/// skewed-grid numbers). `parallelism` defaults to HLP_WORKERS or 2.
-/// Degrades to a notice (no table) when hlp_worker is not next to the
-/// current executable.
-void print_dispatch_sweep(std::ostream& os,
-                          const std::vector<std::string>& benchmarks,
-                          int num_seeds, int parallelism = 0);
-
 /// One cold-vs-warm comparison of the persistent artifact store
 /// (src/store/artifact_store.hpp): the same `num_seeds`-seed (benchmark,
 /// binder) grid run by a cold runner that populates a fresh store, then by

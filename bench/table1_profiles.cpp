@@ -59,12 +59,6 @@ int main(int argc, char** argv) {
   // (default 2) hlp_worker processes vs the same number of in-process
   // threads, bit-identity checked — the distributed CI leg's artifact.
   hlp::bench::print_worker_sweep(std::cout, {"wang", "pr"}, 64);
-  // The dispatch axis: a deliberately skewed grid (anneal groups first,
-  // lopass groups last) where a contiguous static split leaves slice 0
-  // the straggler; work-stealing streaming spreads the anneal units
-  // across every worker. Bit-identity across threads/static/stream is
-  // checked in the same table.
-  hlp::bench::print_dispatch_sweep(std::cout, {"wang", "pr"}, 32);
   // The persistence axis: the same sweep cold (populating a fresh
   // HLP_STORE directory) and then warm from a fresh runner — the
   // cold-vs-warm stage-timing artifact of the CI artifact-store leg.

@@ -49,7 +49,7 @@ std::string default_worker_binary() {
 }
 
 // Last `max_bytes` of a worker's captured stdout/stderr, for embedding in
-// the error message of a failed slice or unit.
+// the error message of a failed unit.
 std::string log_tail(const std::string& path, std::size_t max_bytes = 600) {
   std::ifstream f(path, std::ios::binary);
   if (!f.good()) return "";
@@ -64,19 +64,9 @@ std::string log_tail(const std::string& path, std::size_t max_bytes = 600) {
   return tail;
 }
 
-struct WorkerProc {
-  pid_t pid = -1;
-  bool exited = false;
-  bool timed_out = false;
-  int status = 0;
-  std::vector<std::size_t> slice;  // global job indices, ascending
-  std::string manifest, results, sa_prefix, log;
-};
-
-// One long-lived `hlp_worker --serve` process of the streaming
-// dispatcher. Entries are append-only across respawns; a dead worker's
-// record stays for its log path and exit status.
-struct StreamWorker {
+// One long-lived hlp_worker process. Entries are append-only across
+// respawns; a dead worker's record stays for its log path and exit status.
+struct Worker {
   pid_t pid = -1;
   int to_child = -1;    // parent writes framed unit requests here
   int from_child = -1;  // parent reads framed unit responses here
@@ -91,7 +81,7 @@ struct StreamWorker {
   std::string fail_reason;   // set before a deliberate SIGKILL
 };
 
-// Ignore SIGPIPE for the lifetime of a streaming run: a write into a
+// Ignore SIGPIPE for the lifetime of a distributed run: a write into a
 // worker that just died must surface as EPIPE (handled per worker), not
 // kill the parent. Saved/restored so library callers keep their own
 // disposition.
@@ -146,12 +136,6 @@ bool extract_frame(std::string& buf, std::string& frame) {
 
 }  // namespace
 
-struct DistributedRunner::RunSetup {
-  std::string worker_bin;
-  std::string dir;
-  bool own_dir = false;
-};
-
 DistributedRunner::DistributedRunner(int workers, int threads_per_worker)
     : workers_(std::max(1, workers)),
       threads_per_worker_(std::max(1, threads_per_worker)),
@@ -177,235 +161,38 @@ std::vector<JobResult> DistributedRunner::run(const std::vector<Job>& jobs) {
   // runner — no processes, no files, same results.
   if (n <= 1) return local_.run(jobs);
 
-  // Strict knob resolution up front, so a bad HLP_DISPATCH dies loudly
-  // before any process is spawned.
-  const DispatchMode mode = resolve_dispatch_mode(dispatch_, n);
-
-  RunSetup setup;
-  setup.worker_bin =
+  const std::string worker_bin =
       worker_binary_.empty() ? default_worker_binary() : worker_binary_;
-  HLP_REQUIRE(::access(setup.worker_bin.c_str(), X_OK) == 0,
-              "worker binary '" << setup.worker_bin
+  HLP_REQUIRE(::access(worker_bin.c_str(), X_OK) == 0,
+              "worker binary '" << worker_bin
                                 << "' is not executable (build the "
                                    "hlp_worker target, or point "
                                    "HLP_WORKER_BIN / set_worker_binary at "
                                    "it)");
 
-  // Work directory for the manifest/results/log files of this run.
-  setup.dir = work_dir_;
-  if (setup.dir.empty()) {
-    std::string tmpl =
-        (fs::temp_directory_path() / "hlp-dist.XXXXXX").string();
-    HLP_REQUIRE(::mkdtemp(tmpl.data()) != nullptr,
-                "mkdtemp('" << tmpl << "') failed: " << std::strerror(errno));
-    setup.dir = tmpl;
-    setup.own_dir = true;
+  // Work directory for the worker logs and SA shards of this run.
+  std::string dir = work_dir_;
+  const bool own_dir = dir.empty();
+  if (own_dir) {
+    dir = (fs::temp_directory_path() / "hlp-dist.XXXXXX").string();
+    HLP_REQUIRE(::mkdtemp(dir.data()) != nullptr,
+                "mkdtemp('" << dir << "') failed: " << std::strerror(errno));
   } else {
-    fs::create_directories(setup.dir);
+    fs::create_directories(dir);
   }
 
-  std::vector<JobResult> results = mode == DispatchMode::kStream
-                                       ? run_stream(jobs, setup)
-                                       : run_static(jobs, setup);
+  std::vector<JobResult> results = run_stream(jobs, n, worker_bin, dir);
 
-  if (setup.own_dir && !keep_files_) {
+  if (own_dir && !keep_files_) {
     std::error_code ec;
-    fs::remove_all(setup.dir, ec);  // best effort; never fail a finished run
+    fs::remove_all(dir, ec);  // best effort; never fail a finished run
   }
-  return results;
-}
-
-std::vector<JobResult> DistributedRunner::run_static(
-    const std::vector<Job>& jobs, const RunSetup& setup) {
-  const int n = static_cast<int>(std::min<std::size_t>(workers_, jobs.size()));
-
-  // Contiguous slices keep seed groups (grid() varies the seed innermost)
-  // mostly intact, so workers still coalesce; correctness never depends
-  // on the split — results are placed back by index.
-  std::vector<WorkerProc> procs(n);
-  const std::size_t base = jobs.size() / n;
-  const std::size_t extra = jobs.size() % n;
-  std::size_t next = 0;
-  for (int k = 0; k < n; ++k) {
-    WorkerProc& w = procs[k];
-    const std::size_t take = base + (static_cast<std::size_t>(k) < extra);
-    for (std::size_t j = 0; j < take; ++j) w.slice.push_back(next++);
-    const std::string stem = setup.dir + "/worker-" + std::to_string(k);
-    w.manifest = stem + ".manifest";
-    w.results = stem + ".results";
-    w.sa_prefix = stem + ".sa";
-    w.log = stem + ".log";
-    std::vector<ManifestJob> slice;
-    slice.reserve(w.slice.size());
-    for (const std::size_t i : w.slice) slice.push_back({i, jobs[i]});
-    save_manifest_file(w.manifest, slice);
-  }
-
-  // Spawn. argv is assembled BEFORE fork so the child only performs
-  // async-signal-safe work (open/dup2/execv) between fork and exec.
-  for (WorkerProc& w : procs) {
-    std::vector<std::string> args = {setup.worker_bin,
-                                     "--manifest",
-                                     w.manifest,
-                                     "--results",
-                                     w.results,
-                                     "--sa-out",
-                                     w.sa_prefix,
-                                     "--jobs",
-                                     std::to_string(threads_per_worker_),
-                                     "--coalesce",
-                                     local_.coalescing() ? "1" : "0"};
-    if (!local_.sa_cache_path().empty()) {
-      args.push_back("--sa-in");
-      args.push_back(local_.sa_cache_path());
-    }
-    if (!local_.store_dir().empty()) {
-      // Workers share the parent's artifact store (explicit flag, never
-      // their own HLP_STORE): each opens its own handle with a private
-      // staging dir, so concurrent publishes stay atomic.
-      args.push_back("--store");
-      args.push_back(local_.store_dir());
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-
-    const pid_t pid = ::fork();
-    HLP_REQUIRE(pid >= 0, "fork failed: " << std::strerror(errno));
-    if (pid == 0) {
-      const int fd = ::open(w.log.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-      if (fd >= 0) {
-        ::dup2(fd, 1);
-        ::dup2(fd, 2);
-        ::close(fd);
-      }
-      ::execv(argv[0], argv.data());
-      _exit(127);  // exec failed; the parent reports status 127 + log
-    }
-    w.pid = pid;
-  }
-
-  // Reap, with an optional deadline. Workers past the deadline are
-  // SIGKILLed and their slices report the timeout.
-  const auto t0 = Clock::now();
-  std::size_t running = procs.size();
-  while (running > 0) {
-    bool progress = false;
-    for (WorkerProc& w : procs) {
-      if (w.exited) continue;
-      int status = 0;
-      const pid_t r = ::waitpid(w.pid, &status, WNOHANG);
-      if (r == w.pid) {
-        w.exited = true;
-        w.status = status;
-        --running;
-        progress = true;
-      }
-    }
-    if (running == 0) break;
-    if (timeout_s_ > 0.0 &&
-        std::chrono::duration<double>(Clock::now() - t0).count() >
-            timeout_s_) {
-      for (WorkerProc& w : procs) {
-        if (w.exited) continue;
-        ::kill(w.pid, SIGKILL);
-        int status = 0;
-        ::waitpid(w.pid, &status, 0);
-        w.exited = true;
-        w.timed_out = true;
-        --running;
-      }
-      break;
-    }
-    if (!progress)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-
-  // Collect: place results by manifest index; any worker-level failure is
-  // reported on every job of its slice.
-  std::vector<JobResult> results(jobs.size());
-  auto fail_slice = [&](const WorkerProc& w, const std::string& why) {
-    const std::string tail = log_tail(w.log);
-    for (const std::size_t i : w.slice) {
-      results[i].job = jobs[i];
-      results[i].ok = false;
-      results[i].error =
-          why + (tail.empty() ? "" : "; worker log tail: " + tail);
-    }
-  };
-  for (std::size_t k = 0; k < procs.size(); ++k) {
-    const WorkerProc& w = procs[k];
-    const std::string who = "worker " + std::to_string(k);
-    if (w.timed_out) {
-      std::ostringstream why;
-      why << who << " timed out after " << timeout_s_ << "s and was killed";
-      fail_slice(w, why.str());
-      continue;
-    }
-    if (WIFSIGNALED(w.status)) {
-      fail_slice(w, who + " killed by signal " +
-                        std::to_string(WTERMSIG(w.status)));
-      continue;
-    }
-    if (!WIFEXITED(w.status) || WEXITSTATUS(w.status) != 0) {
-      fail_slice(w, who + " exited with status " +
-                        std::to_string(WIFEXITED(w.status)
-                                           ? WEXITSTATUS(w.status)
-                                           : -1));
-      continue;
-    }
-    std::vector<ManifestResult> shard;
-    try {
-      shard = load_results_file(w.results);
-    } catch (const std::exception& e) {
-      // Missing or truncated output from a worker that claimed success.
-      fail_slice(w, who + " produced unreadable results: " + e.what());
-      continue;
-    }
-    const std::set<std::size_t> expect(w.slice.begin(), w.slice.end());
-    std::set<std::size_t> got;
-    for (const ManifestResult& mr : shard) got.insert(mr.index);
-    if (got != expect) {
-      fail_slice(w, who + " returned " + std::to_string(shard.size()) +
-                        " results that do not cover its " +
-                        std::to_string(w.slice.size()) + "-job slice");
-      continue;
-    }
-    for (ManifestResult& mr : shard) {
-      results[mr.index] = std::move(mr.result);
-      // The results file answers by index; the job itself is the parent's
-      // copy (the manifest round-trip is tested separately).
-      results[mr.index].job = jobs[mr.index];
-    }
-  }
-
-  // Merge the SA shards of cleanly exited workers into the parent tables
-  // (worker shard files are written atomically, so a file either is a
-  // complete table or does not exist). Conflicts throw — the entries are
-  // deterministic, so a conflict means two workers computed under
-  // different configurations and the whole run is suspect.
-  std::set<std::pair<int, SaMode>> tables;
-  for (const Job& j : jobs) tables.insert({j.width, effective_sa_mode(j.sa)});
-  for (const WorkerProc& w : procs) {
-    if (!w.exited || w.timed_out || !WIFEXITED(w.status) ||
-        WEXITSTATUS(w.status) != 0)
-      continue;
-    for (const auto& [width, mode] : tables) {
-      const std::string file =
-          w.sa_prefix + sa_cache_file_suffix(width, mode);
-      if (std::error_code ec; fs::exists(file, ec) && !ec)
-        local_.sa_cache(width, mode).merge_from(file);
-    }
-  }
-  local_.persist_sa_caches();
-
   return results;
 }
 
 std::vector<JobResult> DistributedRunner::run_stream(
-    const std::vector<Job>& jobs, const RunSetup& setup) {
-  const int n = static_cast<int>(std::min<std::size_t>(workers_, jobs.size()));
+    const std::vector<Job>& jobs, int n, const std::string& worker_bin,
+    const std::string& dir) {
   const ScopedSigpipeIgnore sigpipe_guard;
 
   // The central queue: whole seed-coalescing chunks, exactly the units
@@ -439,14 +226,14 @@ std::vector<JobResult> DistributedRunner::run_stream(
     --unresolved;
   };
 
-  std::deque<StreamWorker> fleet;  // deque: references stay valid on growth
+  std::deque<Worker> fleet;  // deque: references stay valid on growth
   std::size_t alive = 0;
 
-  auto spawn = [&]() -> StreamWorker& {
+  auto spawn = [&]() -> Worker& {
     fleet.emplace_back();
-    StreamWorker& w = fleet.back();
+    Worker& w = fleet.back();
     const std::string stem =
-        setup.dir + "/worker-" + std::to_string(fleet.size() - 1);
+        dir + "/worker-" + std::to_string(fleet.size() - 1);
     w.log = stem + ".log";
     w.sa_prefix = stem + ".sa";
 
@@ -458,8 +245,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
                     ::pipe2(from_child, O_CLOEXEC) == 0,
                 "pipe2 failed: " << std::strerror(errno));
 
-    std::vector<std::string> args = {setup.worker_bin,
-                                     "--serve",
+    std::vector<std::string> args = {worker_bin,
                                      "--sa-out",
                                      w.sa_prefix,
                                      "--jobs",
@@ -477,6 +263,8 @@ std::vector<JobResult> DistributedRunner::run_stream(
       args.push_back("--store");
       args.push_back(local_.store_dir());
     }
+    // argv is assembled BEFORE fork so the child only performs
+    // async-signal-safe work (open/dup2/execv) between fork and exec.
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& a : args) argv.push_back(a.data());
@@ -505,7 +293,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
     return w;
   };
 
-  auto close_fds = [](StreamWorker& w) {
+  auto close_fds = [](Worker& w) {
     if (w.to_child >= 0) ::close(w.to_child);
     if (w.from_child >= 0) ::close(w.from_child);
     w.to_child = w.from_child = -1;
@@ -515,7 +303,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
   // (flush its SA shard and exit) when the queue has drained. A failed
   // write means the worker is already dying; the unit stays charged to it
   // and the reap path requeues it.
-  auto assign = [&](StreamWorker& w) {
+  auto assign = [&](Worker& w) {
     if (queue.empty()) {
       std::ostringstream req;
       save_unit_quit(req);
@@ -541,7 +329,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
   // A worker died (reaped). Requeue its in-flight unit while attempts
   // remain, else resolve the unit as failed — naming the unit, the
   // attempt count and the worker's log tail.
-  auto handle_death = [&](StreamWorker& w, const std::string& why) {
+  auto handle_death = [&](Worker& w, const std::string& why) {
     if (w.unit < 0) return;
     const std::size_t u = static_cast<std::size_t>(w.unit);
     w.unit = -1;
@@ -558,7 +346,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
   while (unresolved > 0 || alive > 0) {
     bool progress = false;
 
-    for (StreamWorker& w : fleet) {
+    for (Worker& w : fleet) {
       if (w.exited || w.pid < 0) continue;
 
       // Drain the worker's stdout; process every complete frame.
@@ -622,8 +410,8 @@ std::vector<JobResult> DistributedRunner::run_stream(
         if (w.unit < 0 && !w.quit_sent) assign(w);  // pull the next unit
       }
 
-      // Per-unit deadline (streaming timeouts are per unit, not per
-      // slice): a unit past it costs exactly that unit one attempt.
+      // Per-unit deadline: a unit past it costs exactly that unit one
+      // attempt.
       if (timeout_s_ > 0.0 && w.unit >= 0 && w.fail_reason.empty() &&
           std::chrono::duration<double>(Clock::now() - w.unit_start)
                   .count() > timeout_s_) {
@@ -689,7 +477,7 @@ std::vector<JobResult> DistributedRunner::run_stream(
   // (shards are written atomically at worker exit, once per session).
   std::set<std::pair<int, SaMode>> tables;
   for (const Job& j : jobs) tables.insert({j.width, effective_sa_mode(j.sa)});
-  for (const StreamWorker& w : fleet) {
+  for (const Worker& w : fleet) {
     if (!w.clean) continue;
     for (const auto& [width, mode] : tables) {
       const std::string file =

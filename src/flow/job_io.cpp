@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <ios>
@@ -107,20 +106,18 @@ std::vector<std::string> tokens_of(const std::string& line) {
 // require the keys they know).
 class Fields {
  public:
-  Fields(const std::vector<std::string>& toks, std::size_t first,
-         const std::string& what)
-      : what_(what) {
+  Fields(const std::vector<std::string>& toks, std::size_t first) {
     for (std::size_t i = first; i < toks.size(); ++i) {
       const auto eq = toks[i].find('=');
       HLP_REQUIRE(eq != std::string::npos,
-                  what << ": field '" << toks[i] << "' is not key=value");
+                  "field '" << toks[i] << "' is not key=value");
       kv_[toks[i].substr(0, eq)] = toks[i].substr(eq + 1);
     }
   }
 
   const std::string& at(const std::string& key) const {
     auto it = kv_.find(key);
-    HLP_REQUIRE(it != kv_.end(), what_ << ": missing field '" << key << "'");
+    HLP_REQUIRE(it != kv_.end(), "missing field '" << key << "'");
     return it->second;
   }
 
@@ -133,60 +130,86 @@ class Fields {
   bool b(const std::string& key) const {
     const std::string& v = at(key);
     HLP_REQUIRE(v == "0" || v == "1",
-                what_ << ": field '" << key << "=" << v << "' must be 0 or 1");
+                "field '" << key << "=" << v << "' must be 0 or 1");
     return v == "1";
   }
   std::string s(const std::string& key) const { return decode_token(at(key)); }
 
  private:
-  std::string what_;
   std::map<std::string, std::string> kv_;
 };
 
-// Reader that tracks line numbers for error messages and detects files cut
-// short: next_line() on a stream that ends before the footer throws.
+// Reader of the non-blank lines of a stream, counting lines for error
+// messages (see parse_lines).
 class LineReader {
  public:
-  explicit LineReader(std::istream& is, const std::string& what)
-      : is_(is), what_(what) {}
+  explicit LineReader(std::istream& is) : is_(is) {}
 
-  std::string next_line() {
-    std::string line;
+  // The next non-blank line; false at end of input.
+  bool next(std::string& line) {
     while (std::getline(is_, line)) {
       ++lineno_;
-      if (!tokens_of(line).empty()) return line;  // skip blank lines
+      if (!tokens_of(line).empty()) return true;
     }
-    HLP_REQUIRE(false, what_ << " truncated: unexpected end of file after line "
-                             << lineno_ << " (missing 'end' footer?)");
+    return false;
+  }
+
+  // The next non-blank line; end of input throws, so a stream cut short
+  // before its footer or trailer is detected.
+  std::string next_line() {
+    std::string line;
+    HLP_REQUIRE(next(line),
+                "truncated: input ends before the 'end' footer or trailer");
+    return line;
   }
 
   int lineno() const { return lineno_; }
 
  private:
   std::istream& is_;
-  std::string what_;
   int lineno_ = 0;
 };
 
+// Run `parse` over the lines of `is`. Every hlp::Error it throws is
+// re-thrown as "<source>: line N: <message>", N being the line being
+// parsed, so a malformed input names itself and the place of the defect.
+template <typename Parse>
+auto parse_lines(std::istream& is, const std::string& source, Parse parse) {
+  LineReader r(is);
+  try {
+    return parse(r);
+  } catch (const Error& e) {
+    std::ostringstream msg;
+    msg << source;
+    if (r.lineno() > 0) msg << ": line " << r.lineno();
+    msg << ": " << e.what();
+    throw Error(msg.str());
+  }
+}
+
+// The next line, which must be a "<keyword> key=value ..." record.
+Fields record_line(LineReader& r, const char* keyword) {
+  const auto toks = tokens_of(r.next_line());
+  HLP_REQUIRE(toks[0] == keyword, "expected '" << keyword << "' line");
+  return Fields(toks, 1);
+}
+
 // Shared header/footer framing: "<magic> v1" ... "end <magic> <count>".
-std::size_t read_header(LineReader& r, const char* magic,
-                        const std::string& what) {
+std::size_t read_header(LineReader& r, const char* magic) {
   const auto head = tokens_of(r.next_line());
   HLP_REQUIRE(head.size() == 2 && head[0] == magic && head[1] == "v1",
-              what << ": bad header (want '" << magic << " v1')");
+              "bad header (want '" << magic << " v1')");
   const auto count = tokens_of(r.next_line());
-  HLP_REQUIRE(count.size() == 2 && count[0] == "count",
-              what << ": bad count line");
+  HLP_REQUIRE(count.size() == 2 && count[0] == "count", "bad count line");
   return static_cast<std::size_t>(parse_u64(count[1]));
 }
 
-void check_footer(const std::vector<std::string>& toks, const char* magic,
-                  std::size_t expected, const std::string& what) {
+void check_footer(LineReader& r, const char* magic, std::size_t expected) {
+  const auto toks = tokens_of(r.next_line());
   HLP_REQUIRE(toks.size() == 3 && toks[0] == "end" && toks[1] == magic,
-              what << ": bad footer");
+              "bad footer (want 'end " << magic << " " << expected << "')");
   HLP_REQUIRE(parse_u64(toks[2]) == expected,
-              what << ": footer count " << toks[2] << " != declared count "
-                   << expected);
+              "footer count " << toks[2] << " != declared count " << expected);
 }
 
 // ---- vector lines: "<name> <count> <v0> <v1> ..." ------------------------
@@ -200,15 +223,15 @@ void save_vec(std::ostream& os, const char* name, const std::vector<T>& v,
 }
 
 template <typename T, typename Parse>
-std::vector<T> load_vec(const std::vector<std::string>& toks, const char* name,
-                        Parse parse, const std::string& what) {
-  HLP_REQUIRE(toks.size() >= 2 && toks[0] == name,
-              what << ": expected '" << name << "' line, got '"
-                   << (toks.empty() ? std::string() : toks[0]) << "'");
+std::vector<T> load_vec(LineReader& r, const char* name, Parse parse) {
+  const auto toks = tokens_of(r.next_line());
+  HLP_REQUIRE(toks[0] == name,
+              "expected '" << name << "' line, got '" << toks[0] << "'");
+  HLP_REQUIRE(toks.size() >= 2, "'" << name << "' line has no count");
   const std::size_t n = static_cast<std::size_t>(parse_u64(toks[1]));
-  HLP_REQUIRE(toks.size() == 2 + n,
-              what << ": '" << name << "' declares " << n << " values, has "
-                   << toks.size() - 2);
+  HLP_REQUIRE(toks.size() - 2 == n,
+              "'" << name << "' declares " << n << " values, has "
+                  << toks.size() - 2);
   std::vector<T> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) out.push_back(parse(toks[2 + i]));
@@ -282,17 +305,13 @@ void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs) {
   os << "end " << kManifestMagic << " " << jobs.size() << "\n";
 }
 
-std::vector<ManifestJob> load_manifest(std::istream& is) {
-  const std::string what = "manifest";
-  LineReader r(is, what);
-  const std::size_t n = read_header(r, kManifestMagic, what);
+namespace {
+
+std::vector<ManifestJob> read_manifest(LineReader& r) {
+  const std::size_t n = read_header(r, kManifestMagic);
   std::vector<ManifestJob> out;
-  out.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const auto toks = tokens_of(r.next_line());
-    HLP_REQUIRE(!toks.empty() && toks[0] == "job",
-                what << ": expected 'job' line (line " << r.lineno() << ")");
-    const Fields f(toks, 1, what);
+    const Fields f = record_line(r, "job");
     ManifestJob mj;
     mj.index = f.z("index");
     Job& j = mj.job;
@@ -317,23 +336,20 @@ std::vector<ManifestJob> load_manifest(std::istream& is) {
     j.label = f.s("label");
     out.push_back(std::move(mj));
   }
-  check_footer(tokens_of(r.next_line()), kManifestMagic, n, what);
+  check_footer(r, kManifestMagic, n);
   return out;
 }
 
-void save_manifest_file(const std::string& path,
-                        const std::vector<ManifestJob>& jobs) {
-  std::ofstream f(path);
-  HLP_REQUIRE(f.good(), "cannot open '" << path << "' for writing");
-  save_manifest(f, jobs);
-  f.flush();
-  HLP_REQUIRE(f.good(), "write to '" << path << "' failed");
+}  // namespace
+
+std::vector<ManifestJob> load_manifest(std::istream& is) {
+  return parse_lines(is, "manifest", read_manifest);
 }
 
 std::vector<ManifestJob> load_manifest_file(const std::string& path) {
   std::ifstream f(path);
   HLP_REQUIRE(f.good(), "cannot open manifest '" << path << "' for reading");
-  return load_manifest(f);
+  return parse_lines(f, path, read_manifest);
 }
 
 // ---- results -------------------------------------------------------------
@@ -394,18 +410,13 @@ void save_results(std::ostream& os,
   os << "end " << kResultsMagic << " " << results.size() << "\n";
 }
 
-std::vector<ManifestResult> load_results(std::istream& is) {
-  const std::string what = "results file";
-  LineReader r(is, what);
-  const std::size_t n = read_header(r, kResultsMagic, what);
+namespace {
+
+std::vector<ManifestResult> read_results(LineReader& r) {
+  const std::size_t n = read_header(r, kResultsMagic);
   std::vector<ManifestResult> out;
-  out.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    auto toks = tokens_of(r.next_line());
-    HLP_REQUIRE(!toks.empty() && toks[0] == "result",
-                what << ": expected 'result' line (line " << r.lineno()
-                     << ")");
-    const Fields head(toks, 1, what);
+    const Fields head = record_line(r, "result");
     ManifestResult mr;
     mr.index = head.z("index");
     JobResult& res = mr.result;
@@ -416,19 +427,13 @@ std::vector<ManifestResult> load_results(std::istream& is) {
     if (res.ok) {
       PipelineOutcome& o = res.outcome;
       const auto as_int = [](const std::string& s) { return parse_int(s); };
-      o.fus.fu_of_op = load_vec<int>(tokens_of(r.next_line()), "fus", as_int,
-                                     what);
-      o.fus.kind_of_fu = load_vec<OpKind>(tokens_of(r.next_line()), "kinds",
-                                          parse_op_kind, what);
-      o.fus.flipped = load_vec<char>(
-          tokens_of(r.next_line()), "flipped",
-          [](const std::string& s) {
-            return static_cast<char>(parse_int(s) != 0 ? 1 : 0);
-          },
-          what);
+      o.fus.fu_of_op = load_vec<int>(r, "fus", as_int);
+      o.fus.kind_of_fu = load_vec<OpKind>(r, "kinds", parse_op_kind);
+      o.fus.flipped = load_vec<char>(r, "flipped", [](const std::string& s) {
+        return static_cast<char>(parse_int(s) != 0 ? 1 : 0);
+      });
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "refine", what << ": expected 'refine' line");
+        const Fields f = record_line(r, "refine");
         o.refined = f.b("refined");
         o.refine.flips_applied = f.i("flips");
         o.refine.passes = f.i("passes");
@@ -439,8 +444,7 @@ std::vector<ManifestResult> load_results(std::istream& is) {
         if (o.refined) o.refine.fus = o.fus;
       }
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "mux", what << ": expected 'mux' line");
+        const Fields f = record_line(r, "mux");
         DatapathStats& m = o.flow.mux_stats;
         m.largest_mux = f.i("largest");
         m.mux_length = f.i("length");
@@ -448,32 +452,25 @@ std::vector<ManifestResult> load_results(std::istream& is) {
         m.muxdiff_mean = f.d("mean");
         m.muxdiff_variance = f.d("var");
       }
-      o.flow.mux_stats.mux_size_a =
-          load_vec<int>(tokens_of(r.next_line()), "muxa", as_int, what);
-      o.flow.mux_stats.mux_size_b =
-          load_vec<int>(tokens_of(r.next_line()), "muxb", as_int, what);
-      o.flow.mux_stats.muxdiff =
-          load_vec<int>(tokens_of(r.next_line()), "muxdiff", as_int, what);
+      o.flow.mux_stats.mux_size_a = load_vec<int>(r, "muxa", as_int);
+      o.flow.mux_stats.mux_size_b = load_vec<int>(r, "muxb", as_int);
+      o.flow.mux_stats.muxdiff = load_vec<int>(r, "muxdiff", as_int);
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "map", what << ": expected 'map' line");
+        const Fields f = record_line(r, "map");
         o.flow.mapped.num_luts = f.i("luts");
         o.flow.mapped.depth = f.i("depth");
         o.flow.clock_period_ns = f.d("clock");
       }
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "sim", what << ": expected 'sim' line");
+        const Fields f = record_line(r, "sim");
         o.flow.sim.num_cycles = f.u("cycles");
         o.flow.sim.total_transitions = f.u("total");
         o.flow.sim.functional_transitions = f.u("functional");
       }
       o.flow.sim.toggles = load_vec<std::uint64_t>(
-          tokens_of(r.next_line()), "toggles",
-          [](const std::string& s) { return parse_u64(s); }, what);
+          r, "toggles", [](const std::string& s) { return parse_u64(s); });
       {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "power", what << ": expected 'power' line");
+        const Fields f = record_line(r, "power");
         PowerReport& p = o.flow.report;
         p.dynamic_power_mw = f.d("dyn");
         p.clock_period_ns = f.d("clock");
@@ -483,72 +480,43 @@ std::vector<ManifestResult> load_results(std::istream& is) {
         p.transitions_per_cycle = f.d("tpc");
         p.glitch_fraction = f.d("glitch");
       }
-      {
-        const Fields f(toks = tokens_of(r.next_line()), 1, what);
-        HLP_REQUIRE(toks[0] == "bind", what << ": expected 'bind' line");
-        o.bind_seconds = f.d("seconds");
-      }
-      o.cached_stages = load_vec<std::string>(
-          tokens_of(r.next_line()), "cached", decode_token, what);
+      o.bind_seconds = record_line(r, "bind").d("seconds");
+      o.cached_stages = load_vec<std::string>(r, "cached", decode_token);
       // Zero or more timing lines, then the record terminator.
       while (true) {
-        toks = tokens_of(r.next_line());
+        const auto toks = tokens_of(r.next_line());
         if (toks[0] == "endresult") break;
         HLP_REQUIRE(toks.size() == 3 && toks[0] == "timing",
-                    what << ": expected 'timing' or 'endresult' (line "
-                         << r.lineno() << ")");
+                    "expected 'timing' or 'endresult'");
         o.timings.push_back({decode_token(toks[1]), parse_double(toks[2])});
       }
     } else {
-      toks = tokens_of(r.next_line());
+      const auto toks = tokens_of(r.next_line());
       HLP_REQUIRE(toks.size() == 1 && toks[0] == "endresult",
-                  what << ": failed result record must end at 'endresult' "
-                          "(line "
-                       << r.lineno() << ")");
+                  "failed result record must end at 'endresult'");
     }
     out.push_back(std::move(mr));
   }
-  check_footer(tokens_of(r.next_line()), kResultsMagic, n, what);
+  check_footer(r, kResultsMagic, n);
   return out;
 }
 
-void save_results_file(const std::string& path,
-                       const std::vector<ManifestResult>& results) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp);
-    HLP_REQUIRE(f.good(), "cannot open '" << tmp << "' for writing");
-    save_results(f, results);
-    f.flush();
-    HLP_REQUIRE(f.good(), "write to '" << tmp << "' failed");
-  }
-  // Atomic publish: a results file either exists complete or not at all,
-  // so a parent never reads a half-written file from a live worker (a
-  // *killed* worker leaves no results file, which the parent reports).
-  HLP_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cannot move '" << tmp << "' to '" << path << "'");
-}
+}  // namespace
 
-std::vector<ManifestResult> load_results_file(const std::string& path) {
-  std::ifstream f(path);
-  HLP_REQUIRE(f.good(), "cannot open results '" << path << "' for reading");
-  return load_results(f);
+std::vector<ManifestResult> load_results(std::istream& is) {
+  return parse_lines(is, "results", read_results);
 }
 
 // ---- streaming protocol v2 ----------------------------------------------
 
 namespace {
 
-// The `endunit <id>` trailer shared by both frame kinds. Reads through a
-// fresh LineReader so EOF before the trailer throws "truncated".
-void check_unit_trailer(std::istream& is, std::size_t id,
-                        const std::string& what) {
-  LineReader r(is, what);
+// The `endunit <id>` trailer shared by both frame kinds.
+void check_unit_trailer(LineReader& r, std::size_t id) {
   const auto toks = tokens_of(r.next_line());
   HLP_REQUIRE(toks.size() == 2 && toks[0] == "endunit" &&
                   parse_u64(toks[1]) == id,
-              what << ": bad 'endunit' trailer (want 'endunit " << id
-                   << "')");
+              "bad 'endunit' trailer (want 'endunit " << id << "')");
 }
 
 }  // namespace
@@ -563,27 +531,23 @@ void save_unit_request(std::ostream& os, std::size_t id,
 void save_unit_quit(std::ostream& os) { os << "quit\n"; }
 
 UnitRequest load_unit_request(std::istream& is) {
-  const std::string what = "unit request";
-  UnitRequest req;
-  // The opening line is read leniently: end-of-stream here is a clean
-  // quit, not a truncation (the parent may simply close the pipe).
-  std::string line;
-  std::vector<std::string> head;
-  while (std::getline(is, line)) {
-    head = tokens_of(line);
-    if (!head.empty()) break;
-  }
-  if (head.empty() || head[0] == "quit") {
-    req.quit = true;
+  return parse_lines(is, "unit request", [](LineReader& r) {
+    UnitRequest req;
+    // The opening line is read leniently: end-of-stream here is a clean
+    // quit, not a truncation (the parent may simply close the pipe).
+    std::string line;
+    if (!r.next(line) || tokens_of(line)[0] == "quit") {
+      req.quit = true;
+      return req;
+    }
+    const auto head = tokens_of(line);
+    HLP_REQUIRE(head.size() == 2 && head[0] == "unit",
+                "expected 'unit <id>' or 'quit', got '" << line << "'");
+    req.id = static_cast<std::size_t>(parse_u64(head[1]));
+    req.jobs = read_manifest(r);
+    check_unit_trailer(r, req.id);
     return req;
-  }
-  HLP_REQUIRE(head.size() == 2 && head[0] == "unit",
-              what << ": expected 'unit <id>' or 'quit', got '" << line
-                   << "'");
-  req.id = static_cast<std::size_t>(parse_u64(head[1]));
-  req.jobs = load_manifest(is);
-  check_unit_trailer(is, req.id, what);
-  return req;
+  });
 }
 
 void save_unit_response(std::ostream& os, std::size_t id,
@@ -594,16 +558,16 @@ void save_unit_response(std::ostream& os, std::size_t id,
 }
 
 UnitResponse load_unit_response(std::istream& is) {
-  const std::string what = "unit response";
-  LineReader r(is, what);
-  const auto head = tokens_of(r.next_line());
-  HLP_REQUIRE(head.size() == 2 && head[0] == "unitdone",
-              what << ": expected 'unitdone <id>' header");
-  UnitResponse resp;
-  resp.id = static_cast<std::size_t>(parse_u64(head[1]));
-  resp.results = load_results(is);
-  check_unit_trailer(is, resp.id, what);
-  return resp;
+  return parse_lines(is, "unit response", [](LineReader& r) {
+    const auto head = tokens_of(r.next_line());
+    HLP_REQUIRE(head.size() == 2 && head[0] == "unitdone",
+                "expected 'unitdone <id>' header");
+    UnitResponse resp;
+    resp.id = static_cast<std::size_t>(parse_u64(head[1]));
+    resp.results = read_results(r);
+    check_unit_trailer(r, resp.id);
+    return resp;
+  });
 }
 
 // ---- equality ------------------------------------------------------------

@@ -1,11 +1,11 @@
 // Text serialization of the ExperimentRunner job model — the wire format
 // of the distributed runner (docs/distributed.md).
 //
-// A DistributedRunner parent writes each worker's job slice as a
-// *manifest* file; the hlp_worker process loads it, runs the jobs through
-// the ordinary in-process ExperimentRunner, and writes a *results* file
-// back. Both are line-oriented text so a manifest can be shipped to
-// another machine (ssh/scp) and a results file diffed by eye.
+// Jobs travel as a *manifest* and come back as *results* (format v1),
+// both line-oriented text so they can be shipped between machines and
+// diffed by eye. A DistributedRunner parent and its hlp_worker processes
+// exchange them wrapped in per-unit frames (protocol v2, below);
+// `hlp_store gc --keep-manifest` reads a manifest file.
 //
 // Properties the distributed protocol depends on:
 //  - Round trips are exact. Doubles are serialised in hexfloat (parsed
@@ -13,12 +13,15 @@
 //    distributed==threaded property test compares results to the last
 //    bit. Strings (benchmark names, labels, error messages) are
 //    percent-escaped and may contain any byte.
-//  - Truncation is detectable. Both files end in an `end <magic> <count>`
-//    footer; a file cut short by a crashed or killed worker fails to load
+//  - Truncation is detectable. Both formats end in an `end <magic> <count>`
+//    footer; input cut short by a crashed or killed worker fails to load
 //    with a clear error instead of silently dropping records.
+//  - Errors say where. A malformed input throws hlp::Error reading
+//    "<source>: line N: <defect>", the source being the file path for
+//    load_manifest_file and the format's name for streams.
 //  - Records carry the job's index in the parent's grid, so the parent
 //    merges worker outputs deterministically (stable job order) no matter
-//    how the grid was sharded or which worker finished first.
+//    which worker ran which unit or finished first.
 //
 // One outcome field is intentionally NOT carried: the mapped LUT netlist
 // structure (FlowResult::mapped.lut_netlist), which is a large
@@ -57,8 +60,6 @@ std::string decode_token(const std::string& s);
 /// Manifest: "manifest v1" header, one `job` line per entry, `end` footer.
 void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs);
 std::vector<ManifestJob> load_manifest(std::istream& is);
-void save_manifest_file(const std::string& path,
-                        const std::vector<ManifestJob>& jobs);
 std::vector<ManifestJob> load_manifest_file(const std::string& path);
 
 /// Results: "results v1" header, one multi-line `result..endresult` record
@@ -67,19 +68,14 @@ std::vector<ManifestJob> load_manifest_file(const std::string& path);
 /// defect (this is how a parent detects a worker that died mid-write).
 void save_results(std::ostream& os, const std::vector<ManifestResult>& results);
 std::vector<ManifestResult> load_results(std::istream& is);
-/// File variant writes `path` atomically (write "<path>.tmp", rename), so
-/// a results file either exists complete or not at all.
-void save_results_file(const std::string& path,
-                       const std::vector<ManifestResult>& results);
-std::vector<ManifestResult> load_results_file(const std::string& path);
 
-/// ---- streaming protocol v2 (HLP_DISPATCH=stream) ------------------------
+/// ---- streaming protocol v2 ----------------------------------------------
 ///
-/// In streaming dispatch the parent and a long-lived `hlp_worker --serve`
-/// process exchange framed per-unit records over stdin/stdout. A request
-/// frame wraps one work unit (a whole seed-coalescing chunk) in the v1
-/// manifest format; a response frame wraps the unit's results in the v1
-/// results format. Both reuse the hexfloat / percent-escape / footer
+/// The DistributedRunner parent and each long-lived hlp_worker process
+/// exchange framed per-unit records over stdin/stdout. A request frame
+/// wraps one work unit (a whole seed-coalescing chunk) in the v1 manifest
+/// format; a response frame wraps the unit's results in the v1 results
+/// format. Both reuse the hexfloat / percent-escape / footer
 /// conventions, and add an `endunit <id>` trailer so a frame cut short by
 /// a dying worker is detectable at the frame level too: the parent only
 /// parses byte ranges that end in a complete trailer line, and a

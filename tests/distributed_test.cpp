@@ -1,13 +1,12 @@
 // Tests for the distributed runner stack (src/flow/job_io, distributed,
-// tools/hlp_worker): wire-format round trips (v1 files and v2 streaming
-// frames) are exact and truncation-detecting, a multi-process run is
-// bit-identical to the in-process threaded runner on a randomized job
-// grid under BOTH dispatch modes, worker failures (nonzero exit, death
-// by signal, invalid frames, truncated output, per-unit timeout)
-// propagate into per-job errors — with bounded requeue first in
-// streaming dispatch — and SA-table shards merge into a shared
-// warm-start file, staying warm across units inside one serve-mode
-// worker.
+// tools/hlp_worker): wire-format round trips (v1 manifest/results and v2
+// unit frames) are exact and truncation-detecting, malformed manifests
+// name their file and line, a multi-process run is bit-identical to the
+// in-process threaded runner on a randomized job grid, worker failures
+// (nonzero exit, death by signal, invalid or partial frames, per-unit
+// timeout) propagate into per-job errors after a bounded requeue, and
+// SA-table shards merge into a shared warm-start file, staying warm
+// across units inside one worker.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -50,7 +49,7 @@ flow::Job small_job(const std::string& benchmark) {
 
 // The randomized acceptance grid: benchmarks x binders (all four
 // registered families, refinement included) x a non-multiple-of-64 seed
-// count, shuffled so worker slices cut across coalescing groups.
+// count, shuffled so the work units interleave coalescing groups.
 std::vector<flow::Job> property_grid() {
   flow::BinderSpec hlp_half{"hlpower"};
   flow::BinderSpec lopass{"lopass"};
@@ -155,6 +154,45 @@ TEST(JobIo, ManifestRoundTripIsExact) {
   // environment still runs exactly the parent's backend.
   ASSERT_TRUE(back[1].job.sa.has_value());
   EXPECT_EQ(*back[1].job.sa, effective_sa_mode(std::nullopt));
+}
+
+TEST(JobIo, ManifestFileErrorsNameTheFileAndLine) {
+  flow::ManifestJob a;
+  a.index = 3;
+  a.job = small_job("pr");
+  std::ostringstream text;
+  flow::save_manifest(text, {a, a});
+  // Line 1 is the header, 2 the count, 3 and 4 the jobs, 5 the footer.
+  const std::string good = text.str();
+  const std::size_t job2 = good.find("job ", good.find("job ") + 1);
+  std::string not_key_value = good;
+  not_key_value.insert(good.find('\n', good.find("job ")), " bogus");
+  std::string missing_field = good;
+  const std::size_t width = good.find(" width=", job2);
+  missing_field.erase(width, good.find(' ', width + 1) - width);
+  struct Case {
+    std::string body;
+    std::string line;
+    std::string defect;
+  };
+  const std::vector<Case> cases = {
+      {not_key_value, "line 3", "field 'bogus' is not key=value"},
+      {missing_field, "line 4", "missing field 'width'"},
+      {good.substr(0, good.rfind("end ")), "line 4", "truncated"},
+  };
+  const std::string path = ::testing::TempDir() + "/bad.manifest";
+  for (const Case& c : cases) {
+    std::ofstream(path) << c.body;
+    try {
+      flow::load_manifest_file(path);
+      ADD_FAILURE() << "expected a throw for: " << c.defect;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(path + ": " + c.line + ": ", 0), 0u) << what;
+      EXPECT_NE(what.find(c.defect), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    }
+  }
 }
 
 flow::ManifestResult synthetic_result() {
@@ -327,14 +365,17 @@ TEST(JobIo, UnitResponseFrameRoundTripAndTruncation) {
 // ---- the distributed == threaded property --------------------------------
 
 TEST(Distributed, BitIdenticalToThreadedRunnerOnRandomGrid) {
+  // Work-stealing only changes which worker runs which unit: on the
+  // randomized 100+ job grid every bit of every result must match the
+  // in-process threaded runner.
   const std::vector<flow::Job> jobs = property_grid();
 
   flow::ExperimentRunner threaded(3);
   const auto want = threaded.run(jobs);
 
   // HLP_WORKERS can raise the worker count (the CI distributed leg pins
-  // it to 2); the slices then cut the shuffled grid at different points,
-  // which must not change a single bit of any result.
+  // it to 2); more workers interleave the units differently, which must
+  // not change a single bit of any result.
   flow::DistributedRunner dist(flow::workers_from_env(2), 2);
   const auto got = dist.run(jobs);
 
@@ -346,45 +387,13 @@ TEST(Distributed, BitIdenticalToThreadedRunnerOnRandomGrid) {
         << jobs[i].binder.name << " seed " << jobs[i].seed
         << ") diverged; distributed error: '" << got[i].error << "'";
     EXPECT_EQ(got[i].job.seed, jobs[i].seed);
+    // Workers report the full seed-group size the threaded runner would,
+    // not the chunk the worker happened to see.
+    EXPECT_EQ(got[i].group_size, want[i].group_size) << "job " << i;
     failed_jobs += got[i].ok ? 0 : 1;
   }
   // Exactly the bad-benchmark job fails, identically on both sides.
   EXPECT_EQ(failed_jobs, 1u);
-}
-
-TEST(Distributed, StreamStaticAndThreadedAgreeOnRandomGrid) {
-  // The dispatch knob only changes scheduling: on the same randomized
-  // 100+ job grid, work-stealing streaming, contiguous static slices and
-  // the in-process threaded runner must agree on every bit of every
-  // result, no matter which worker pulled which unit.
-  const std::vector<flow::Job> jobs = property_grid();
-
-  flow::ExperimentRunner threaded(3);
-  const auto want = threaded.run(jobs);
-
-  flow::DistributedRunner stat(2, 2);
-  stat.set_dispatch(flow::DispatchMode::kStatic);
-  const auto got_static = stat.run(jobs);
-
-  flow::DistributedRunner stream(2, 2);
-  stream.set_dispatch(flow::DispatchMode::kStream);
-  const auto got_stream = stream.run(jobs);
-
-  ASSERT_EQ(got_static.size(), want.size());
-  ASSERT_EQ(got_stream.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_TRUE(flow::same_outcome(want[i], got_static[i]))
-        << "job " << i << " diverged threaded vs static; static error: '"
-        << got_static[i].error << "'";
-    EXPECT_TRUE(flow::same_outcome(want[i], got_stream[i]))
-        << "job " << i << " (" << jobs[i].benchmark << "/"
-        << jobs[i].binder.name << " seed " << jobs[i].seed
-        << ") diverged threaded vs stream; stream error: '"
-        << got_stream[i].error << "'";
-    // Streaming reports the full seed-group size the threaded runner
-    // would, not the chunk the worker happened to see.
-    EXPECT_EQ(got_stream[i].group_size, want[i].group_size) << "job " << i;
-  }
 }
 
 TEST(Distributed, WorkersInheritSaModeAndStayBitIdentical) {
@@ -441,84 +450,18 @@ TEST(Distributed, SingleJobGridDoesNotSpawn) {
 
 // ---- worker failure propagation ------------------------------------------
 
-std::vector<flow::JobResult> run_with_fake_worker(
-    const std::string& script, double timeout = 0.0,
-    flow::DispatchMode dispatch = flow::DispatchMode::kAuto) {
+std::vector<flow::JobResult> run_with_fake_worker(const std::string& script,
+                                                 double timeout = 0.0) {
   flow::DistributedRunner dist(2, 1);
-  dist.set_dispatch(dispatch);
   dist.set_worker_binary(script);
   if (timeout > 0.0) dist.set_timeout(timeout);
   return dist.run({small_job("pr"), small_job("wang"), small_job("pr")});
 }
 
-TEST(Distributed, NonzeroExitPropagatesToEveryJobOfTheSlice) {
-  const std::string script = write_fake_worker(
-      "worker_exit3.sh", "echo doom from the worker >&2\nexit 3");
-  const auto got = run_with_fake_worker(script);
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("exited with status 3"), std::string::npos)
-        << r.error;
-    // The worker's captured stderr rides along for debuggability.
-    EXPECT_NE(r.error.find("doom from the worker"), std::string::npos)
-        << r.error;
-  }
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
-
-TEST(Distributed, KilledWorkerPropagatesSignal) {
-  const std::string script =
-      write_fake_worker("worker_kill9.sh", "kill -9 $$");
-  const auto got = run_with_fake_worker(script);
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("killed by signal 9"), std::string::npos)
-        << r.error;
-  }
-}
-
-TEST(Distributed, TruncatedResultsFilePropagates) {
-  // A worker that exits 0 but leaves a results file with no records and
-  // no footer — e.g. one that died in a way the OS reported as success.
-  // This is a batch-protocol (v1 results file) defect, so the test pins
-  // static dispatch; the streaming analogue is the truncated-frame and
-  // invalid-response coverage below.
-  const std::string script = write_fake_worker(
-      "worker_truncate.sh",
-      "out=\"\"\n"
-      "while [ $# -gt 0 ]; do\n"
-      "  if [ \"$1\" = \"--results\" ]; then out=\"$2\"; fi\n"
-      "  shift\n"
-      "done\n"
-      "printf 'hlp-results v1\\ncount 2\\n' > \"$out\"\n"
-      "exit 0");
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStatic);
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("unreadable results"), std::string::npos)
-        << r.error;
-  }
-}
-
-TEST(Distributed, HungWorkerTimesOutAndIsKilled) {
-  const std::string script = write_fake_worker("worker_hang.sh", "sleep 30");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto got = run_with_fake_worker(script, 0.3);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& r : got) {
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("timed out"), std::string::npos) << r.error;
-  }
-  EXPECT_LT(elapsed, 10.0) << "workers were not killed at the deadline";
-}
-
-// ---- streaming-dispatch fault handling -----------------------------------
 
 TEST(Distributed, StreamCrashRequeuesThenNamesUnitAndAttempts) {
   // Every spawn dies mid-stream: each unit is retried on a replacement
@@ -526,8 +469,7 @@ TEST(Distributed, StreamCrashRequeuesThenNamesUnitAndAttempts) {
   // count and the worker's captured stderr.
   const std::string script = write_fake_worker(
       "stream_exit3.sh", "echo doom from the worker >&2\nexit 3");
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStream);
+  const auto got = run_with_fake_worker(script);
   ASSERT_EQ(got.size(), 3u);
   for (const auto& r : got) {
     EXPECT_FALSE(r.ok);
@@ -544,8 +486,7 @@ TEST(Distributed, StreamCrashRequeuesThenNamesUnitAndAttempts) {
 TEST(Distributed, StreamKill9RequeuesThenPropagatesSignal) {
   const std::string script =
       write_fake_worker("stream_kill9.sh", "kill -9 $$");
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStream);
+  const auto got = run_with_fake_worker(script);
   ASSERT_EQ(got.size(), 3u);
   for (const auto& r : got) {
     EXPECT_FALSE(r.ok);
@@ -564,38 +505,53 @@ TEST(Distributed, StreamInvalidResponseFrameKillsAndRetries) {
       "printf 'unitdone 0\\nendunit 0\\n'\n"
       "sleep 30");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto got =
-      run_with_fake_worker(script, 0.0, flow::DispatchMode::kStream);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const auto got = run_with_fake_worker(script);
   ASSERT_EQ(got.size(), 3u);
   for (const auto& r : got) {
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("invalid unit response"), std::string::npos)
         << r.error;
   }
-  EXPECT_LT(elapsed, 10.0) << "protocol violators were not killed";
+  EXPECT_LT(seconds_since(t0), 10.0) << "protocol violators were not killed";
+}
+
+TEST(Distributed, StreamPartialFrameThenCleanExitFailsTheUnit) {
+  // A worker that starts a response (header and results header, no
+  // `endunit` trailer) and then exits 0: the partial frame is never
+  // parsed, and a clean exit with a unit in flight is a failure of that
+  // unit — requeued once, then reported — not a hang and not a success.
+  const std::string script = write_fake_worker(
+      "stream_partial.sh",
+      "printf 'unitdone 0\\nhlp-results v1\\ncount 1\\n'\n"
+      "exit 0");
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto got = run_with_fake_worker(script);
+  ASSERT_EQ(got.size(), 3u);
+  for (const auto& r : got) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("exited with status 0 before answering the unit"),
+              std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("failed after 2 attempt(s)"), std::string::npos)
+        << r.error;
+  }
+  EXPECT_LT(seconds_since(t0), 10.0) << "the run waited on a dead worker";
 }
 
 TEST(Distributed, StreamHungUnitTimesOutPerUnit) {
-  // Streaming timeouts are per unit: a hung worker costs its unit one
-  // attempt (plus the retry), never the whole run.
+  // Timeouts are per unit: a hung worker costs its unit one attempt (plus
+  // the retry), never the whole run.
   const std::string script =
       write_fake_worker("stream_hang.sh", "sleep 30");
   const auto t0 = std::chrono::steady_clock::now();
-  const auto got =
-      run_with_fake_worker(script, 0.3, flow::DispatchMode::kStream);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const auto got = run_with_fake_worker(script, 0.3);
   ASSERT_EQ(got.size(), 3u);
   for (const auto& r : got) {
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("timed out"), std::string::npos) << r.error;
     EXPECT_NE(r.error.find("attempt(s)"), std::string::npos) << r.error;
   }
-  EXPECT_LT(elapsed, 10.0) << "hung workers were not killed per unit";
+  EXPECT_LT(seconds_since(t0), 10.0) << "hung workers were not killed per unit";
 }
 
 TEST(Distributed, StreamRequeueRecoversOnHealthyReplacement) {
@@ -627,7 +583,6 @@ TEST(Distributed, StreamRequeueRecoversOnHealthyReplacement) {
   const auto want = threaded.run(jobs);
 
   flow::DistributedRunner dist(2, 1);
-  dist.set_dispatch(flow::DispatchMode::kStream);
   dist.set_worker_binary(script);
   const auto got = dist.run(jobs);
   ASSERT_EQ(got.size(), want.size());
@@ -637,7 +592,7 @@ TEST(Distributed, StreamRequeueRecoversOnHealthyReplacement) {
   }
 }
 
-// ---- the serve loop, driven directly over pipes --------------------------
+// ---- the worker's serve loop, driven directly over pipes -----------------
 
 TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
   const std::string bin = real_worker_binary();
@@ -663,7 +618,7 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
     ::close(to_child[1]);
     ::close(from_child[0]);
     ::close(from_child[1]);
-    ::execl(bin.c_str(), bin.c_str(), "--serve", "--sa-out", prefix.c_str(),
+    ::execl(bin.c_str(), bin.c_str(), "--sa-out", prefix.c_str(),
             "--coalesce", "1", static_cast<char*>(nullptr));
     _exit(127);
   }
@@ -720,7 +675,7 @@ TEST(Distributed, ServeLoopStaysWarmAcrossUnitsAndFlushesSaOnce) {
   EXPECT_TRUE(r1.results[0].result.ok) << r1.results[0].result.error;
   // Same design, new stimulus seed: the second unit rides the warm
   // StageCaches the first one populated — the whole point of a
-  // long-lived serve worker.
+  // long-lived worker.
   EXPECT_FALSE(r1.results[0].result.outcome.cached_stages.empty());
 
   // Both units answer with the bits the in-process runner produces.

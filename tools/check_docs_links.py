@@ -9,7 +9,11 @@ the repo root and under docs/:
   * no link target is an absolute filesystem path;
   * no empty link targets `[text]()`;
   * fenced code blocks are balanced (an odd number of ``` fences usually
-    means a swallowed section).
+    means a swallowed section);
+  * the "HLP_*" string literals in the program sources (src/, tools/,
+    examples/, bench/) are exactly the variables of the docs/env-vars.md
+    table, so a deleted knob leaves no stale row and a new one cannot go
+    undocumented.
 
 Exits non-zero with one line per problem, so CI fails loudly.
 """
@@ -21,6 +25,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]*)\)")
 SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+ENV_LITERAL_RE = re.compile(r'"(HLP_[A-Z0-9_]+)"')
+ENV_ROW_RE = re.compile(r"^\| `(HLP_[A-Z0-9_]+)` \|", re.MULTILINE)
+SOURCE_DIRS = ("src", "tools", "examples", "bench")
+SOURCE_SUFFIXES = (".cpp", ".hpp", ".py")
 
 
 def md_files():
@@ -57,6 +65,23 @@ def check_file(path: Path):
     return problems
 
 
+def check_env_table():
+    used = set()
+    for d in SOURCE_DIRS:
+        for path in sorted((REPO / d).rglob("*")):
+            if path.suffix in SOURCE_SUFFIXES:
+                used.update(ENV_LITERAL_RE.findall(
+                    path.read_text(encoding="utf-8")))
+    table = REPO / "docs" / "env-vars.md"
+    documented = set(ENV_ROW_RE.findall(table.read_text(encoding="utf-8")))
+    rel = table.relative_to(REPO)
+    problems = [f"{rel}: no table row for {v}, which the sources read"
+                for v in sorted(used - documented)]
+    problems += [f"{rel}: table row for {v}, which no source reads"
+                 for v in sorted(documented - used)]
+    return problems
+
+
 def main():
     files = list(md_files())
     if not files:
@@ -65,6 +90,7 @@ def main():
     problems = []
     for path in files:
         problems.extend(check_file(path))
+    problems.extend(check_env_table())
     for p in problems:
         print(p, file=sys.stderr)
     print(f"check_docs_links: {len(files)} files, {len(problems)} problem(s)")
