@@ -211,17 +211,20 @@ SaCache& ExperimentRunner::sa_cache(int width, SaMode mode) {
       external_cache_->mode() == mode)
     return *external_cache_;
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = caches_[{width, mode}];
-  if (!slot) {
-    slot = std::make_unique<SaCache>(width, MapParams{}, mode);
+  auto it = caches_.find({width, mode});
+  if (it == caches_.end()) {
+    auto cache = std::make_unique<SaCache>(width, MapParams{}, mode);
     if (!sa_cache_path_.empty()) {
       // Warm start: preload the persisted table when a previous run left
-      // one behind (a missing file just means a cold start).
+      // one behind (a missing file just means a cold start). A table that
+      // fails to load throws before the cache is installed, so
+      // persist_sa_caches never overwrites the file it came from.
       const std::string file = cache_file_for(width, mode);
-      if (std::ifstream probe(file); probe.good()) slot->load_file(file);
+      if (std::ifstream probe(file); probe.good()) cache->load_file(file);
     }
+    it = caches_.emplace(std::pair{width, mode}, std::move(cache)).first;
   }
-  return *slot;
+  return *it->second;
 }
 
 SaCache& ExperimentRunner::sa_cache(int width) {

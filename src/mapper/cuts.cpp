@@ -1,6 +1,7 @@
 #include "mapper/cuts.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -8,29 +9,105 @@
 namespace hlp {
 namespace {
 
-std::uint64_t signature_of(const std::vector<NetId>& leaves) {
-  std::uint64_t sig = 0;
-  for (NetId l : leaves) sig |= 1ull << (static_cast<unsigned>(l) % 64u);
-  return sig;
+std::uint64_t net_bit(NetId net) {
+  return 1ull << (static_cast<unsigned>(net) % 64u);
 }
+
+// Merge two sorted leaf sets into `out`; false when the union would exceed
+// k leaves.
+bool merge_leaves(const CutLeaves& a, const CutLeaves& b, int k,
+                  CutLeaves& out) {
+  out.clear();
+  const NetId* i = a.begin();
+  const NetId* j = b.begin();
+  while (i != a.end() || j != b.end()) {
+    NetId next = kNoNet;
+    if (j == b.end() || (i != a.end() && *i < *j)) {
+      next = *i++;
+    } else if (i == a.end() || *j < *i) {
+      next = *j++;
+    } else {
+      next = *i++;
+      ++j;
+    }
+    if (static_cast<int>(out.size()) == k) return false;
+    out.push_back(next);
+  }
+  return true;
+}
+
+Cut trivial_cut(NetId net) {
+  Cut c;
+  c.leaves.push_back(net);
+  c.signature = net_bit(net);
+  c.depth = 0;
+  c.tt = TruthTable::buf();
+  return c;
+}
+
+// A cross-product candidate: leaves, signature and depth of a cut, plus
+// which cut of each gate input it was merged from (index into that
+// input's cut list). Only survivors of pruning become Cuts.
+struct Candidate {
+  CutLeaves leaves;
+  std::uint64_t signature = 0;
+  int depth = 0;
+  std::array<int, kMaxTtInputs> from{};
+};
 
 // True when a's leaves are a subset of b's (a dominates b: any LUT that can
 // be fed by b's leaves can be fed by a's).
-bool subset_of(const Cut& a, const Cut& b) {
+bool subset_of(const Cut& a, const Candidate& b) {
   if ((a.signature & ~b.signature) != 0) return false;
   return std::includes(b.leaves.begin(), b.leaves.end(), a.leaves.begin(),
                        a.leaves.end());
 }
 
-// Merge two sorted leaf sets; empty result when it would exceed k leaves.
-std::vector<NetId> merge_leaves(const std::vector<NetId>& a,
-                                const std::vector<NetId>& b, int k) {
-  std::vector<NetId> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  if (static_cast<int>(out.size()) > k) out.clear();
-  return out;
+// Fills c.tt (and c.cone) for a cut of gate g merged from cut from[i] of
+// each input i: the gate's table composed with the fanin cuts' tables.
+void compose_function(const Netlist& n, const Gate& g,
+                      const std::vector<std::vector<Cut>>& cuts,
+                      const std::array<int, kMaxTtInputs>& from, Cut& c) {
+  const std::size_t k = c.leaves.size();
+  c.cone = net_bit(g.out);
+  bool exact = true;
+  // Position mask of each fanin cut's leaves within the merged leaf set.
+  std::array<std::uint32_t, kMaxTtInputs> pos{};
+  for (std::size_t i = 0; i < g.ins.size(); ++i) {
+    const Cut& fc = cuts[g.ins[i]][from[i]];
+    c.cone |= fc.cone;
+    std::size_t f = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (f < fc.leaves.size() && fc.leaves[f] == c.leaves[j]) {
+        pos[i] |= 1u << j;
+        ++f;
+      } else if (net_bit(c.leaves[j]) & fc.cone) {
+        // A merged leaf may sit inside this fanin's cone, where
+        // cut_function would stop at it; composition would look through.
+        exact = false;
+      }
+    }
+  }
+  if (!exact) {
+    c.tt = cut_function(n, g.out,
+                        std::vector<NetId>(c.leaves.begin(), c.leaves.end()));
+    return;
+  }
+  std::uint64_t bits = 0;
+  for (std::uint32_t m = 0; m < (1u << k); ++m) {
+    std::uint32_t gate_minterm = 0;
+    for (std::size_t i = 0; i < g.ins.size(); ++i) {
+      const Cut& fc = cuts[g.ins[i]][from[i]];
+      // Gather m's bits at this fanin's leaf positions (ascending).
+      std::uint32_t row = 0, b = 0;
+      for (std::uint32_t mask = pos[i]; mask != 0; mask &= mask - 1, ++b)
+        row |= ((m >> std::countr_zero(mask)) & 1u) << b;
+      gate_minterm |= static_cast<std::uint32_t>((fc.tt.bits() >> row) & 1u)
+                      << i;
+    }
+    bits |= ((g.tt.bits() >> gate_minterm) & 1ull) << m;
+  }
+  c.tt = TruthTable(static_cast<int>(k), bits);
 }
 
 }  // namespace
@@ -42,16 +119,10 @@ CutSet::CutSet(const Netlist& n, const CutParams& params) : params_(params) {
   cuts_.resize(n.num_nets());
   best_depth_.assign(n.num_nets(), 0);
 
-  auto trivial = [](NetId net) {
-    Cut c;
-    c.leaves = {net};
-    c.signature = signature_of(c.leaves);
-    c.depth = 0;
-    return c;
-  };
   for (NetId net = 0; net < n.num_nets(); ++net)
-    if (n.is_comb_source(net)) cuts_[net] = {trivial(net)};
+    if (n.is_comb_source(net)) cuts_[net] = {trivial_cut(net)};
 
+  std::vector<Candidate> partial, next;
   for (int gi : n.topo_gates()) {
     const Gate& g = n.gates()[gi];
     HLP_REQUIRE(static_cast<int>(g.ins.size()) <= params_.k,
@@ -59,50 +130,62 @@ CutSet::CutSet(const Netlist& n, const CutParams& params) : params_(params) {
                          << " inputs; K=" << params_.k
                          << " mapping cannot cover it");
     const NetId root = g.out;
-    std::vector<Cut> result;
 
     // Cross product of fanin cut sets, built input by input.
-    std::vector<Cut> partial = {Cut{{}, 0, 0}};
-    for (NetId in : g.ins) {
-      HLP_CHECK(!cuts_[in].empty(),
-                "fanin net '" << n.net_name(in) << "' has no cuts");
-      std::vector<Cut> next;
-      for (const Cut& p : partial) {
-        for (const Cut& fc : cuts_[in]) {
-          auto leaves = merge_leaves(p.leaves, fc.leaves, params_.k);
-          if (leaves.empty() && !(p.leaves.empty() && fc.leaves.empty()))
+    partial.assign(1, Candidate{});
+    for (std::size_t i = 0; i < g.ins.size(); ++i) {
+      const std::vector<Cut>& fanin_cuts = cuts_[g.ins[i]];
+      HLP_CHECK(!fanin_cuts.empty(),
+                "fanin net '" << n.net_name(g.ins[i]) << "' has no cuts");
+      next.clear();
+      for (const Candidate& p : partial) {
+        for (std::size_t fi = 0; fi < fanin_cuts.size(); ++fi) {
+          const Cut& fc = fanin_cuts[fi];
+          Candidate c;
+          // The union's signature is the OR of both; more set bits than
+          // K means more than K leaves, without merging.
+          c.signature = p.signature | fc.signature;
+          if (std::popcount(c.signature) > params_.k ||
+              !merge_leaves(p.leaves, fc.leaves, params_.k, c.leaves))
             continue;
-          Cut c;
-          c.signature = signature_of(leaves);
-          c.leaves = std::move(leaves);
           // Depth of a cut: 1 + max over leaves of their best depth.
           int d = 0;
           for (NetId l : c.leaves) d = std::max(d, best_depth_[l]);
           c.depth = d + 1;
-          next.push_back(std::move(c));
+          c.from = p.from;
+          c.from[i] = static_cast<int>(fi);
+          next.push_back(c);
         }
       }
-      partial = std::move(next);
+      std::swap(partial, next);
       if (partial.empty()) break;
     }
 
     // Dominance filter + priority pruning.
-    std::sort(partial.begin(), partial.end(), [](const Cut& a, const Cut& b) {
-      if (a.depth != b.depth) return a.depth < b.depth;
-      return a.leaves.size() < b.leaves.size();
-    });
-    for (auto& c : partial) {
+    std::sort(partial.begin(), partial.end(),
+              [](const Candidate& a, const Candidate& b) {
+                if (a.depth != b.depth) return a.depth < b.depth;
+                return a.leaves.size() < b.leaves.size();
+              });
+    std::vector<Cut> result;
+    for (const Candidate& c : partial) {
       bool dominated = false;
       for (const Cut& kept : result)
         if (subset_of(kept, c)) {
           dominated = true;
           break;
         }
-      if (!dominated) result.push_back(std::move(c));
+      if (!dominated) {
+        Cut& cut = result.emplace_back();
+        cut.leaves = c.leaves;
+        cut.signature = c.signature;
+        cut.depth = c.depth;
+        compose_function(n, g, cuts_, c.from, cut);
+      }
       if (static_cast<int>(result.size()) >= params_.max_cuts - 1) break;
     }
     // Always keep the trivial cut so larger cuts above can end here.
-    result.push_back(trivial(root));
+    result.push_back(trivial_cut(root));
     best_depth_[root] = result.front().depth;
     cuts_[root] = std::move(result);
   }

@@ -7,8 +7,19 @@
 // implemented as a single K-input LUT. Enumeration merges fanin cut sets at
 // every gate; per-node cut lists are pruned to a fixed budget, keeping the
 // trivial cut plus the best cuts by (size, depth).
+//
+// Each kept cut carries its function over its own leaves, as in
+// priority-cut mapping (Mishchenko et al., ICCAD'07): the gate's table
+// composed with the fanin cuts' tables, expanded onto the merged leaf set.
+// That composition equals cut_function (the oracle, which evaluates the
+// root's cone down to the leaves) whenever no merged leaf lies inside a
+// fanin cut's cone; when a cone signature says one might, the table comes
+// from cut_function itself. Either way `Cut::tt == cut_function(...)`
+// bit for bit, so mapping results do not depend on how tables are built.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -17,14 +28,48 @@
 
 namespace hlp {
 
+/// Sorted leaf net ids of one cut, stored inline: K <= kMaxTtInputs, so a
+/// cut never touches the heap.
+class CutLeaves {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  NetId operator[](std::size_t i) const { return ids_[i]; }
+  const NetId* begin() const { return ids_.data(); }
+  const NetId* end() const { return ids_.data() + size_; }
+
+  /// Appends a leaf; the caller keeps the ids sorted and the count in
+  /// bounds (merge_leaves in cuts.cpp is the only writer besides the
+  /// trivial cut).
+  void push_back(NetId id) { ids_[size_++] = id; }
+  void clear() { size_ = 0; }
+
+  friend bool operator==(const CutLeaves& a, const CutLeaves& b) {
+    if (a.size_ != b.size_) return false;
+    for (std::size_t i = 0; i < a.size_; ++i)
+      if (a.ids_[i] != b.ids_[i]) return false;
+    return true;
+  }
+
+ private:
+  std::array<NetId, kMaxTtInputs> ids_{};
+  std::uint8_t size_ = 0;
+};
+
 /// A cut: sorted leaf net ids plus a 64-bit subset signature for fast
 /// dominance filtering.
 struct Cut {
-  std::vector<NetId> leaves;
+  CutLeaves leaves;
   std::uint64_t signature = 0;
+  /// Signature (same hash as `signature`) of the cone's interior: the
+  /// gate-driven nets from just above the leaves up to the root. Zero for
+  /// the trivial cut.
+  std::uint64_t cone = 0;
   /// Unit-delay depth of the cut's root when this cut is chosen and leaves
   /// are implemented at their own best depth (filled by enumeration).
   int depth = 0;
+  /// Function of the root over `leaves`, in order (== cut_function).
+  TruthTable tt;
 
   bool is_trivial(NetId root) const {
     return leaves.size() == 1 && leaves[0] == root;

@@ -16,11 +16,14 @@ struct Selection {
 
 // Select cuts per the mapping mode. Trivial self-cuts are never selected
 // for gate-driven nets (a node cannot implement itself).
-Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
+Selection select_cuts(const Netlist& n, const std::vector<int>& order,
+                      const CutSet& cuts, MapMode mode) {
   Selection sel;
   sel.cut_of_net.assign(n.num_nets(), -1);
 
-  const auto fanout = n.fanout_counts();
+  // Only area flow divides by fanout.
+  const std::vector<int> fanout =
+      mode == MapMode::kArea ? n.fanout_counts() : std::vector<int>{};
 
   // Area flow per net (kArea) / timed signal per net (kGlitchSa), built in
   // topo order assuming each net is implemented with its chosen cut.
@@ -28,8 +31,10 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
   std::vector<TimedSignal> signal(n.num_nets());
   for (NetId net = 0; net < n.num_nets(); ++net)
     if (n.is_comb_source(net)) signal[net] = TimedSignal::source();
+  std::vector<const TimedSignal*> leaves;
+  leaves.reserve(kMaxTtInputs);
 
-  for (int gi : n.topo_gates()) {
+  for (int gi : order) {
     const NetId root = n.gates()[gi].out;
     const auto& candidates = cuts.cuts_of(root);
     int best = -1;
@@ -63,11 +68,9 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
           break;
         }
         case MapMode::kGlitchSa: {
-          const TruthTable tt = cut_function(n, root, c.leaves);
-          std::vector<const TimedSignal*> leaves;
-          leaves.reserve(c.leaves.size());
+          leaves.clear();
           for (NetId l : c.leaves) leaves.push_back(&signal[l]);
-          sig = propagate_lut(tt, leaves);
+          sig = propagate_lut(c.tt, leaves);
           cost = sig.total_activity();
           break;
         }
@@ -106,7 +109,8 @@ Selection select_cuts(const Netlist& n, const CutSet& cuts, MapMode mode) {
 MapResult tech_map(const Netlist& n, const MapParams& params) {
   n.validate();
   const CutSet cuts(n, params.cuts);
-  const Selection sel = select_cuts(n, cuts, params.mode);
+  const std::vector<int> order = n.topo_gates();
+  const Selection sel = select_cuts(n, order, cuts, params.mode);
 
   MapResult result;
   Netlist& out = result.lut_netlist;
@@ -143,18 +147,17 @@ MapResult tech_map(const Netlist& n, const MapParams& params) {
       net_map[net] = out.add_net(n.net_name(net));
 
   // Emit LUTs in topological order of the original netlist.
-  for (int gi : n.topo_gates()) {
+  for (int gi : order) {
     const NetId root = n.gates()[gi].out;
     if (!required[root] || n.is_comb_source(root)) continue;
     const Cut& c = cuts.cuts_of(root)[sel.cut_of_net[root]];
-    const TruthTable tt = cut_function(n, root, c.leaves);
     std::vector<NetId> ins;
     ins.reserve(c.leaves.size());
     for (NetId l : c.leaves) {
       HLP_CHECK(net_map[l] != kNoNet, "leaf not materialised");
       ins.push_back(net_map[l]);
     }
-    out.add_gate(net_map[root], std::move(ins), tt);
+    out.add_gate(net_map[root], std::move(ins), c.tt);
   }
 
   for (const auto& l : n.latches()) out.add_latch(net_map[l.q], net_map[l.d]);

@@ -1,7 +1,9 @@
 #include "power/activity.hpp"
 
 #include <algorithm>
-#include <set>
+#include <array>
+#include <bit>
+#include <limits>
 
 #include "common/error.hpp"
 #include "power/probability.hpp"
@@ -37,33 +39,93 @@ TimedSignal TimedSignal::source(double prob, double activity) {
   return s;
 }
 
+namespace {
+
+// Same clamp as the probability.cpp oracles.
+double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
+
+}  // namespace
+
 TimedSignal propagate_lut(const TruthTable& tt,
                           const std::vector<const TimedSignal*>& leaves) {
   HLP_CHECK(static_cast<int>(leaves.size()) == tt.num_inputs(),
             "leaf count " << leaves.size() << " != LUT inputs "
                           << tt.num_inputs());
   const int k = tt.num_inputs();
+  const std::uint64_t bits = tt.bits();
   TimedSignal out;
 
-  std::vector<double> p_in(k);
+  // On-set minterms in ascending order: the order both oracle sums visit.
+  std::array<std::uint8_t, 64> on{};
+  int n_on = 0;
+  for (std::uint64_t rest = bits; rest != 0; rest &= rest - 1)
+    on[n_on++] = static_cast<std::uint8_t>(std::countr_zero(rest));
+
+  // P(y), once per LUT: lut_probability's sum, term for term.
+  std::array<double, kMaxTtInputs> p_in{};
   for (int j = 0; j < k; ++j) p_in[j] = leaves[j]->prob;
-  out.prob = lut_probability(tt, p_in);
+  double p = 0.0;
+  for (int i = 0; i < n_on; ++i) {
+    double term = 1.0;
+    for (int j = 0; j < k; ++j)
+      term *= ((on[i] >> j) & 1u) ? p_in[j] : 1.0 - p_in[j];
+    p += term;
+  }
+  out.prob = clamp01(p);
 
   // Functional arrival: one unit after the slowest functional leaf arrival.
   int f = 0;
   for (const auto* l : leaves) f = std::max(f, l->functional_time);
   out.functional_time = f + 1;
 
-  // Union of leaf transition times; output transitions one unit later.
-  std::set<int> times;
-  for (const auto* l : leaves)
-    for (const auto& [t, a] : l->acts)
-      if (a > 0.0) times.insert(t);
+  // Walk the union of leaf transition times with one cursor per leaf; the
+  // output transitions one unit after each time some leaf switches.
+  std::array<std::size_t, kMaxTtInputs> cursor{};
+  // Per-leaf (value at t, value at t+T) pair table, indexed 2*bu + bv.
+  std::array<std::array<double, 4>, kMaxTtInputs> pair{};
+  for (;;) {
+    int t = std::numeric_limits<int>::max();
+    for (int j = 0; j < k; ++j)
+      if (cursor[j] < leaves[j]->acts.size())
+        t = std::min(t, leaves[j]->acts[cursor[j]].first);
+    if (t == std::numeric_limits<int>::max()) break;
 
-  std::vector<double> act_in(k);
-  for (int t : times) {
-    for (int j = 0; j < k; ++j) act_in[j] = leaves[j]->activity_at(t);
-    const double s = lut_switching_activity(tt, p_in, act_in);
+    // Activity of each leaf at t (0 when quiet), as activity_at reads it;
+    // t counts only when some leaf really switches then.
+    std::uint32_t quiet = 0;
+    bool switching = false;
+    for (int j = 0; j < k; ++j) {
+      const auto& acts = leaves[j]->acts;
+      double act = 0.0;
+      if (cursor[j] < acts.size() && acts[cursor[j]].first == t) {
+        act = acts[cursor[j]++].second;
+        switching = switching || act > 0.0;
+      }
+      // lut_joint_prob's pair distribution, expression for expression.
+      const double a = std::min(act, 2.0 * std::min(p_in[j], 1.0 - p_in[j]));
+      pair[j] = {clamp01(1.0 - p_in[j] - a / 2.0), a / 2.0, a / 2.0,
+                 clamp01(p_in[j] - a / 2.0)};
+      if (a / 2.0 == 0.0) quiet |= 1u << j;
+    }
+    if (!switching) continue;
+
+    // P(y(t) y(t+T)) over on-set pairs in ascending (u, v) order. A pair
+    // that differs on a quiet leaf multiplies in that leaf's p01 == 0, so
+    // its term is exactly zero and skipping it leaves the sum's bits as
+    // they are.
+    double pj = 0.0;
+    for (int iu = 0; iu < n_on; ++iu) {
+      const std::uint32_t u = on[iu];
+      for (int iv = 0; iv < n_on; ++iv) {
+        const std::uint32_t v = on[iv];
+        if ((u ^ v) & quiet) continue;
+        double term = 1.0;
+        for (int j = 0; j < k && term > 0.0; ++j)
+          term *= pair[j][2 * ((u >> j) & 1u) + ((v >> j) & 1u)];
+        pj += term;
+      }
+    }
+    const double s = clamp01(2.0 * (out.prob - clamp01(pj)));
     if (s > 0.0) out.acts.emplace_back(t + 1, s);
   }
   return out;
@@ -77,10 +139,12 @@ ActivityResult estimate_impl(const Netlist& n, bool zero_delay) {
   for (NetId net = 0; net < n.num_nets(); ++net)
     if (n.is_comb_source(net)) r.signals[net] = TimedSignal::source();
 
-  for (int gi : n.topo_gates()) {
+  std::vector<const TimedSignal*> leaves;
+  leaves.reserve(kMaxTtInputs);
+  const std::vector<int> order = n.topo_gates();
+  for (int gi : order) {
     const Gate& g = n.gates()[gi];
-    std::vector<const TimedSignal*> leaves;
-    leaves.reserve(g.ins.size());
+    leaves.clear();
     for (NetId in : g.ins) leaves.push_back(&r.signals[in]);
     TimedSignal sig = propagate_lut(g.tt, leaves);
     if (zero_delay) {
@@ -99,7 +163,7 @@ ActivityResult estimate_impl(const Netlist& n, bool zero_delay) {
     r.signals[g.out] = std::move(sig);
   }
 
-  for (int gi : n.topo_gates()) {
+  for (int gi : order) {
     const TimedSignal& s = r.signals[n.gates()[gi].out];
     r.total_sa += s.total_activity();
     r.functional_sa += s.activity_at(s.functional_time);

@@ -13,6 +13,14 @@
 // (Eq. 2) evaluated with the per-leaf activities *at time t* (leaves quiet
 // at t contribute activity 0). The effective SA of a node is the sum over
 // its transition times, and the netlist SA (Eq. 3) sums over all nodes.
+//
+// propagate_lut evaluates that in one pass per LUT: the on-set and P(y)
+// once, the leaf waveforms walked with one merge cursor, no heap beyond
+// the output waveform. Its results are bit-identical to the per-time
+// oracle (lut_probability plus lut_switching_activity at every time of the
+// union): every sum visits the same terms in the same ascending order with
+// the same left-to-right products and clamps, and the only terms skipped,
+// on-set pairs that differ on a leaf quiet at t, are exactly zero.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +56,7 @@ struct TimedSignal {
 
 /// Propagate leaf waveforms through one LUT (function `tt` over the leaves,
 /// in order). Output transitions land one unit after each leaf transition.
+/// Leaf waveforms must be sorted by time (TimedSignal's invariant).
 TimedSignal propagate_lut(const TruthTable& tt,
                           const std::vector<const TimedSignal*>& leaves);
 

@@ -1,12 +1,14 @@
 #include "power/sa_cache.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -125,27 +127,66 @@ void SaCache::save(std::ostream& os) const {
   os << "# end " << snapshot.size() << "\n";
 }
 
-std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
-  // Strict numeric parsing: every defect names the shard instead of
-  // escaping as a bare std::invalid_argument from std::stoi.
-  const auto parse_long = [&what](const std::string& s,
-                                  const char* field) -> long long {
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-                what << ": bad " << field << " '" << s << "'");
-    return v;
-  };
-  const auto parse_sa = [&what](const std::string& s) -> double {
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-                what << ": bad SA value '" << s << "'");
-    return v;
-  };
+namespace {
 
+// "<source>: line N" — the prefix of every parse error.
+struct Where {
+  const std::string& source;
+  std::size_t line;
+};
+
+std::ostream& operator<<(std::ostream& os, const Where& w) {
+  return os << w.source << ": line " << w.line;
+}
+
+// Whole-token integer: no trailing junk, no overflow.
+long long parse_int(const std::string& s, const char* field, const Where& at) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
+              at << ": bad " << field << " '" << s << "'");
+  return v;
+}
+
+// One "<kind> <nA> <nB> <sa>" table entry, every token parsed in full.
+struct Entry {
+  OpKind kind;
+  int a;
+  int b;
+  double sa;
+};
+
+Entry parse_entry(const std::vector<std::string>& tok, const std::string& line,
+                  const Where& at) {
+  HLP_REQUIRE(tok.size() == 4, at << ": needs 4 fields: '" << line << "'");
+  Entry e{};
+  if (tok[0] == "add")
+    e.kind = OpKind::kAdd;
+  else if (tok[0] == "mult")
+    e.kind = OpKind::kMult;
+  else
+    HLP_REQUIRE(false, at << ": unknown op kind '" << tok[0] << "'");
+  const long long a = parse_int(tok[1], "mux size", at);
+  const long long b = parse_int(tok[2], "mux size", at);
+  // The key packs each size into 20 bits (SaCache::key).
+  HLP_REQUIRE(a >= 1 && b >= 1 && a <= 0xfffff && b <= 0xfffff,
+              at << ": mux sizes (" << tok[1] << ", " << tok[2]
+                 << ") out of range [1, " << 0xfffff << "]");
+  e.a = static_cast<int>(a);
+  e.b = static_cast<int>(b);
+  errno = 0;
+  char* end = nullptr;
+  e.sa = std::strtod(tok[3].c_str(), &end);
+  HLP_REQUIRE(end != tok[3].c_str() && *end == '\0' && errno != ERANGE &&
+                  std::isfinite(e.sa),
+              at << ": bad SA value '" << tok[3] << "'");
+  return e;
+}
+
+}  // namespace
+
+std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
   // Parse the whole file into a staging map first: a malformed or
   // truncated shard must not leave a half-merged table behind.
   std::map<std::uint64_t, double> staged;
@@ -155,6 +196,7 @@ std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
+    const Where at{what, lineno};
     const auto tok = split_ws(line);
     if (tok.empty()) continue;
     if (tok[0] == "#") {
@@ -163,12 +205,12 @@ std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
         // datapath width before looking at any entry.
         HLP_REQUIRE(tok.size() >= 3 && tok[1] == "SaCache" &&
                         tok[2].rfind("width=", 0) == 0,
-                    what << ": not an SaCache table (bad header '" << line
-                         << "')");
-        const long long w = parse_long(tok[2].substr(6), "header width");
-        HLP_REQUIRE(w == width_, what << ": width " << w
-                                      << " does not match this cache's width "
-                                      << width_);
+                    at << ": not an SaCache table (bad header '" << line
+                       << "')");
+        const long long w = parse_int(tok[2].substr(6), "header width", at);
+        HLP_REQUIRE(w == width_, at << ": width " << w
+                                    << " does not match this cache's width "
+                                    << width_);
         // The SA mode changes entry *values*, so a cross-mode merge is a
         // configuration error, rejected here before any entry is staged.
         // Tables written before the mode tag existed are estimate-mode.
@@ -177,51 +219,34 @@ std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
           if (tok[i].rfind("mode=", 0) == 0) file_mode = tok[i].substr(5);
         if (file_mode.empty()) {
           HLP_REQUIRE(mode_ == SaMode::kEstimated,
-                      what << ": table carries no mode tag (legacy "
-                              "estimate-mode table) but this cache's mode is '"
-                           << sa_mode_name(mode_) << "'");
+                      at << ": table carries no mode tag (legacy "
+                            "estimate-mode table) but this cache's mode is '"
+                         << sa_mode_name(mode_) << "'");
         } else {
           HLP_REQUIRE(file_mode == sa_mode_name(mode_),
-                      what << ": mode '" << file_mode
-                           << "' does not match this cache's mode '"
-                           << sa_mode_name(mode_) << "'");
+                      at << ": mode '" << file_mode
+                         << "' does not match this cache's mode '"
+                         << sa_mode_name(mode_) << "'");
         }
         saw_header = true;
         continue;
       }
       if (tok.size() >= 3 && tok[1] == "end") {
-        const long long footer = parse_long(tok[2], "footer count");
-        HLP_REQUIRE(footer >= 0, what << ": bad footer count " << footer);
+        const long long footer = parse_int(tok[2], "footer count", at);
+        HLP_REQUIRE(footer >= 0, at << ": bad footer count " << footer);
         const auto declared = static_cast<std::size_t>(footer);
         HLP_REQUIRE(declared == staged.size(),
-                    what << ": footer declares " << declared
-                         << " entries but the file carries " << staged.size());
+                    at << ": footer declares " << declared
+                       << " entries but the file carries " << staged.size());
         saw_footer = true;
         continue;
       }
       continue;  // other comments
     }
     HLP_REQUIRE(saw_header, what << ": missing '# SaCache' header");
-    HLP_REQUIRE(!saw_footer,
-                what << ": entries after the '# end' footer (line " << lineno
-                     << ")");
-    HLP_REQUIRE(tok.size() == 4, what << ": line " << lineno
-                                      << " needs 4 fields: '" << line << "'");
-    OpKind kind;
-    if (tok[0] == "add")
-      kind = OpKind::kAdd;
-    else if (tok[0] == "mult")
-      kind = OpKind::kMult;
-    else
-      HLP_REQUIRE(false, what << ": unknown op kind '" << tok[0] << "' (line "
-                              << lineno << ")");
-    const long long a = parse_long(tok[1], "mux size");
-    const long long b = parse_long(tok[2], "mux size");
-    HLP_REQUIRE(a >= 1 && b >= 1 && a <= 0xfffff && b <= 0xfffff,
-                what << ": mux sizes (" << tok[1] << ", " << tok[2]
-                     << ") out of range (line " << lineno << ")");
-    staged[key(kind, static_cast<int>(a), static_cast<int>(b))] =
-        parse_sa(tok[3]);
+    HLP_REQUIRE(!saw_footer, at << ": entries after the '# end' footer");
+    const Entry e = parse_entry(tok, line, at);
+    staged[key(e.kind, e.a, e.b)] = e.sa;
   }
   HLP_REQUIRE(saw_header, what << ": missing '# SaCache' header");
   HLP_REQUIRE(saw_footer, what << ": truncated — missing '# end' footer");
@@ -254,29 +279,30 @@ std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
 std::size_t SaCache::merge_from(const std::string& path) {
   std::ifstream f(path);
   HLP_REQUIRE(f.good(), "cannot open SA shard '" << path << "' for reading");
-  return merge_from(f, "SA shard '" + path + "'");
+  return merge_from(f, path);
 }
 
-void SaCache::load(std::istream& is) {
+void SaCache::load(std::istream& is, const std::string& what) {
+  // Same entry parser as merge_from; only the header and footer (comments
+  // here) are optional, since legacy tables lack them. Staged like
+  // merge_from, so a rejected table loads nothing.
+  std::map<std::uint64_t, double> staged;
   std::string line;
+  std::size_t lineno = 0;
   while (std::getline(is, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto tok = split_ws(line);
+    ++lineno;
+    std::string body = line;
+    if (const auto hash = body.find('#'); hash != std::string::npos)
+      body.resize(hash);
+    const auto tok = split_ws(body);
     if (tok.empty()) continue;
-    HLP_REQUIRE(tok.size() == 4, "SaCache line needs 4 fields: '" << line << "'");
-    OpKind kind;
-    if (tok[0] == "add")
-      kind = OpKind::kAdd;
-    else if (tok[0] == "mult")
-      kind = OpKind::kMult;
-    else
-      HLP_REQUIRE(false, "unknown op kind '" << tok[0] << "'");
-    const std::uint64_t k =
-        key(kind, std::stoi(tok[1]), std::stoi(tok[2]));
+    const Entry e = parse_entry(tok, line, Where{what, lineno});
+    staged[key(e.kind, e.a, e.b)] = e.sa;
+  }
+  for (const auto& [k, sa] : staged) {
     Shard& shard = shard_for(k);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.table[k] = std::stod(tok[3]);
+    shard.table[k] = sa;
   }
 }
 
@@ -289,7 +315,7 @@ void SaCache::save_file(const std::string& path) const {
 void SaCache::load_file(const std::string& path) {
   std::ifstream f(path);
   HLP_REQUIRE(f.good(), "cannot open '" << path << "' for reading");
-  load(f);
+  load(f, path);
 }
 
 }  // namespace hlp

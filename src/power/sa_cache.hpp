@@ -73,9 +73,13 @@ class SaCache {
   /// Text persistence: "<kind> <nA> <nB> <sa>" per line, between a
   /// "# SaCache width=..." header and a "# end <count>" footer (the footer
   /// is what lets merge_from reject truncated shard files; load() treats
-  /// both as comments, so older tables still load).
+  /// both as comments, so older tables still load). load() and merge_from
+  /// share one strict entry parser: every token is parsed in full, mux
+  /// sizes must lie in [1, 0xfffff] and SA values must be finite, and an
+  /// error is prefixed "<what>: line N:" (load_file and merge_from(path)
+  /// pass the file path). A rejected table loads nothing.
   void save(std::ostream& os) const;
-  void load(std::istream& is);
+  void load(std::istream& is, const std::string& what = "SA table");
   void save_file(const std::string& path) const;
   void load_file(const std::string& path);
 

@@ -3,13 +3,20 @@
 //  - balanced structures produce no estimated glitches under unit delay;
 //  - unbalanced arrival times do (the phenomenon HLPower exploits);
 //  - zero-delay estimation never reports glitches;
-//  - estimates correlate with measured unit-delay simulation.
+//  - estimates correlate with measured unit-delay simulation;
+//  - the one-pass propagate_lut kernel is bit-identical to the per-time
+//    Chou-Roy oracle it replaced.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <set>
 
 #include "common/rng.hpp"
 #include "mapper/techmap.hpp"
 #include "netlist/modules.hpp"
 #include "power/activity.hpp"
+#include "power/probability.hpp"
 #include "sim/schedule_sim.hpp"
 #include "sim/vectors.hpp"
 
@@ -71,6 +78,125 @@ TEST(PropagateLut, BufferChainsPreserveActivity) {
     cur = &s;
   }
   EXPECT_EQ(s.functional_time, 4);
+}
+
+// The per-time propagation propagate_lut used to run, rebuilt from the
+// unchanged oracles: P(y) from lut_probability and, at every time in the
+// std::set union of leaf transition times, lut_switching_activity with
+// each leaf's activity at that time.
+TimedSignal reference_propagate(const TruthTable& tt,
+                                const std::vector<const TimedSignal*>& leaves) {
+  const int k = tt.num_inputs();
+  TimedSignal out;
+  std::vector<double> p_in(k);
+  for (int j = 0; j < k; ++j) p_in[j] = leaves[j]->prob;
+  out.prob = lut_probability(tt, p_in);
+  int f = 0;
+  for (const auto* l : leaves) f = std::max(f, l->functional_time);
+  out.functional_time = f + 1;
+  std::set<int> times;
+  for (const auto* l : leaves)
+    for (const auto& [t, a] : l->acts)
+      if (a > 0.0) times.insert(t);
+  std::vector<double> act_in(k);
+  for (int t : times) {
+    for (int j = 0; j < k; ++j) act_in[j] = leaves[j]->activity_at(t);
+    const double s = lut_switching_activity(tt, p_in, act_in);
+    if (s > 0.0) out.acts.emplace_back(t + 1, s);
+  }
+  return out;
+}
+
+TruthTable random_table(Rng& rng, int k) {
+  const std::uint64_t rows = 1ull << k;
+  switch (rng.below(6)) {
+    case 0:
+      return TruthTable(k, 0);  // const0
+    case 1:
+      return TruthTable(k, ~0ull);  // const1 / full on-set
+    case 2:
+      return TruthTable(k, 1ull << rng.below(static_cast<std::uint32_t>(rows)));
+    case 3:  // single off-set minterm
+      return TruthTable(
+          k, ~(1ull << rng.below(static_cast<std::uint32_t>(rows))));
+    default:
+      return TruthTable(k, rng.next_u64());
+  }
+}
+
+double random_prob(Rng& rng) {
+  switch (rng.below(5)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return 0.5;
+    case 2:
+      return 1.0;
+    default:
+      return rng.uniform();
+  }
+}
+
+// A leaf waveform: times drawn from 0..6 with gaps, some leaves quiet
+// throughout, activities random, exactly at the 2 min(p, 1-p) cap, above
+// it, or an explicit 0 entry.
+TimedSignal random_leaf(Rng& rng) {
+  TimedSignal s;
+  s.prob = random_prob(rng);
+  s.functional_time = rng.range(0, 6);
+  if (rng.chance(0.2)) return s;  // quiet at every time
+  const double cap = 2.0 * std::min(s.prob, 1.0 - s.prob);
+  for (int t = 0; t <= 6; ++t) {
+    if (!rng.chance(0.45)) continue;
+    double a = 0.0;
+    switch (rng.below(6)) {
+      case 0:
+        a = cap;
+        break;
+      case 1:
+        a = 0.5;
+        break;
+      case 2:
+        a = cap + rng.uniform();
+        break;
+      case 3:
+        a = rng.chance(0.5) ? 0.0 : cap;
+        break;
+      default:
+        a = rng.uniform() * cap;
+    }
+    s.acts.emplace_back(t, a);
+  }
+  return s;
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(PropagateLut, OnePassKernelIsBitIdenticalToOracle) {
+  Rng rng(20240611);
+  constexpr int kCases = 21000;
+  for (int c = 0; c < kCases; ++c) {
+    const int k = c % (kMaxTtInputs + 1);
+    const TruthTable tt = random_table(rng, k);
+    std::vector<TimedSignal> sigs;
+    for (int j = 0; j < k; ++j) sigs.push_back(random_leaf(rng));
+    std::vector<const TimedSignal*> leaves;
+    for (const TimedSignal& s : sigs) leaves.push_back(&s);
+
+    const TimedSignal want = reference_propagate(tt, leaves);
+    const TimedSignal got = propagate_lut(tt, leaves);
+    ASSERT_EQ(bits_of(got.prob), bits_of(want.prob))
+        << "case " << c << " k=" << k << " tt=" << tt.to_string();
+    ASSERT_EQ(got.functional_time, want.functional_time) << "case " << c;
+    ASSERT_EQ(got.acts.size(), want.acts.size())
+        << "case " << c << " k=" << k << " tt=" << tt.to_string();
+    for (std::size_t i = 0; i < want.acts.size(); ++i) {
+      ASSERT_EQ(got.acts[i].first, want.acts[i].first) << "case " << c;
+      ASSERT_EQ(bits_of(got.acts[i].second), bits_of(want.acts[i].second))
+          << "case " << c << " k=" << k << " tt=" << tt.to_string()
+          << " t=" << want.acts[i].first;
+    }
+  }
 }
 
 TEST(EstimateActivity, BalancedTreeNoGlitches) {

@@ -3,12 +3,16 @@
 // and the glitch-aware selection mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mapper/cuts.hpp"
 #include "mapper/techmap.hpp"
 #include "netlist/modules.hpp"
 #include "power/activity.hpp"
+#include "rtl/partial_datapath.hpp"
 #include "sim/simulator.hpp"
 
 namespace hlp {
@@ -96,6 +100,83 @@ TEST(Cuts, RejectsBadK) {
   const Netlist n = two_level();
   EXPECT_THROW(CutSet(n, CutParams{1, 12}), Error);
   EXPECT_THROW(CutSet(n, CutParams{7, 12}), Error);
+}
+
+// Every cut's carried table must equal the cut_function oracle, bit for
+// bit, on every net.
+void expect_tables_match_oracle(const Netlist& n, const CutParams& params) {
+  const CutSet cs(n, params);
+  int checked = 0;
+  for (NetId net = 0; net < n.num_nets(); ++net) {
+    if (n.driver_gate(net) < 0 && !n.is_comb_source(net)) continue;
+    for (const Cut& c : cs.cuts_of(net)) {
+      const std::vector<NetId> leaves(c.leaves.begin(), c.leaves.end());
+      ASSERT_EQ(c.tt, cut_function(n, net, leaves))
+          << n.name() << " net " << n.net_name(net) << " K=" << params.k;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0) << n.name();
+}
+
+TEST(Cuts, CarriedTablesMatchOracleOnTestNetlists) {
+  Netlist seq("seq");
+  {
+    const NetId a = seq.add_input("a");
+    const NetId q = seq.add_net("q");
+    const NetId d = seq.add_gate_net("d", {a, q}, TruthTable::xor2());
+    seq.add_latch(q, d);
+    seq.add_output(q);
+  }
+  for (const Netlist& n : {two_level(), make_adder(4), make_adder(8),
+                           make_multiplier(3), make_multiplier(4),
+                           make_mux(5, 2), seq})
+    for (const CutParams params : {CutParams{3, 12}, CutParams{4, 10},
+                                   CutParams{4, 12}, CutParams{6, 8}})
+      expect_tables_match_oracle(n, params);
+  expect_tables_match_oracle(two_level(), CutParams{2, 12});
+}
+
+// Random reconvergent DAGs of 1-3 input gates under tight cut budgets:
+// the shapes where a merged leaf can sit inside another fanin cut's cone,
+// so the table must come from cut_function rather than composition.
+TEST(Cuts, CarriedTablesMatchOracleOnRandomDags) {
+  Rng rng(1234);
+  for (int trial = 0; trial < 300; ++trial) {
+    Netlist n("rand" + std::to_string(trial));
+    std::vector<NetId> nets;
+    for (int i = 0; i < 5; ++i)
+      nets.push_back(n.add_input("i" + std::to_string(i)));
+    for (int gi = 0; gi < 24; ++gi) {
+      const int fanin = rng.range(1, 3);
+      std::vector<NetId> ins;
+      while (static_cast<int>(ins.size()) < fanin) {
+        // Favour recent nets: deep, reconvergent cones.
+        const int back = std::min<int>(static_cast<int>(nets.size()),
+                                       rng.range(1, 8));
+        const NetId in = nets[nets.size() - back];
+        if (std::find(ins.begin(), ins.end(), in) == ins.end())
+          ins.push_back(in);
+        else if (back == static_cast<int>(nets.size()))
+          break;
+      }
+      nets.push_back(n.add_gate_net("g" + std::to_string(gi), ins,
+                                    TruthTable(static_cast<int>(ins.size()),
+                                               rng.next_u64())));
+    }
+    n.add_output(nets.back());
+    for (const int k : {3, 4, 6})
+      for (const int budget : {2, 3, 5})
+        expect_tables_match_oracle(n, CutParams{k, budget});
+  }
+}
+
+TEST(Cuts, CarriedTablesMatchOracleOnPartialDatapaths) {
+  for (const OpKind kind : {OpKind::kAdd, OpKind::kMult})
+    for (const int a : {1, 2, 3, 5, 9})
+      for (const int b : {1, 2, 3, 5, 9})
+        expect_tables_match_oracle(make_partial_datapath(kind, a, b, 8),
+                                   CutParams{});
 }
 
 TEST(TechMap, SingleLutForSmallCone) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -111,6 +112,84 @@ TEST(SaCache, LoadRejectsMalformed) {
   EXPECT_THROW(c.load(bad), Error);
   std::istringstream badkind("div 1 1 3.0\n");
   EXPECT_THROW(c.load(badkind), Error);
+}
+
+// One malformed entry each: a non-numeric size, a size past long long, junk
+// after the SA value, a zero size and a negative size (which used to be
+// shifted into the key's kind bits and written back as "? 1048575 2 1").
+const char* const kBadEntries[] = {"add x 2 1.0", "add 99999999999 2 1",
+                                   "add 1 2 1.0junk", "add 0 1 2.5",
+                                   "add -1 2 2.5"};
+
+template <typename Fn>
+void expect_line_error(Fn&& fn, const std::string& source, int line,
+                       const std::string& entry) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected '" << entry << "' to be rejected";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(source + ": line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << entry << " -> " << what;
+  }
+}
+
+TEST(SaCache, LoadAndMergeRejectBadEntriesNamingFileAndLine) {
+  const std::string path = ::testing::TempDir() + "/sa_bad_entry.txt";
+  for (const char* bad : kBadEntries) {
+    {
+      std::ofstream f(path);
+      f << "# SaCache width=4 k=4 mode=" << sa_mode_name(SaMode::kEstimated)
+        << "\nadd 1 1 3.0\n"
+        << bad << "\n# end 2\n";
+    }
+    SaCache loaded = small_cache();
+    expect_line_error([&] { loaded.load_file(path); }, path, 3, bad);
+    EXPECT_EQ(loaded.size(), 0u) << bad;  // a rejected table loads nothing
+    SaCache merged = small_cache();
+    expect_line_error([&] { merged.merge_from(path); }, path, 3, bad);
+    EXPECT_EQ(merged.size(), 0u) << bad;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SaCache, RunnerRejectsBadWarmStartWithoutRewritingIt) {
+  // One bad line must not poison the table file: the job fails naming the
+  // file and line, and the runner does not persist over it.
+  const std::string prefix = ::testing::TempDir() + "/sa_bad_warm";
+  const SaMode mode = effective_sa_mode(std::nullopt);
+  const std::string file = prefix + flow::sa_cache_file_suffix(4, mode);
+  const std::string text = "add -1 2 1.0\n";
+  {
+    std::ofstream f(file);
+    f << text;
+  }
+  // Two jobs: the second must not find a half-installed cache, fill it
+  // cold and have the runner persist it over the bad file.
+  flow::Job job;
+  job.width = 4;
+  job.num_vectors = 5;
+  std::vector<flow::Job> jobs;
+  for (const char* bench : {"pr", "wang"}) {
+    job.benchmark = bench;
+    jobs.push_back(job);
+  }
+  {
+    flow::ExperimentRunner runner(1);
+    runner.set_store_dir("");
+    runner.set_sa_cache_path(prefix);
+    for (const flow::JobResult& r : runner.run(jobs)) {
+      EXPECT_FALSE(r.ok) << r.job.benchmark;
+      EXPECT_NE(r.error.find(file + ": line 1:"), std::string::npos)
+          << r.error;
+    }
+  }
+  std::ifstream in(file);
+  std::stringstream on_disk;
+  on_disk << in.rdbuf();
+  EXPECT_EQ(on_disk.str(), text);
+  std::remove(file.c_str());
 }
 
 TEST(SaCache, RejectsBadArguments) {
