@@ -13,7 +13,6 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "explore/explorer.hpp"
-#include "flow/distributed.hpp"
 #include "flow/job_io.hpp"
 
 namespace hlp::bench {
@@ -285,76 +284,6 @@ void print_simd_sweep(std::ostream& os,
   }
   t.print(os);
   os << "\n";
-}
-
-WorkerSweepReport worker_sweep(const std::string& name,
-                               const flow::BinderSpec& spec, int num_seeds,
-                               int parallelism) {
-  using Clock = std::chrono::steady_clock;
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(num_seeds);
-  for (int s = 0; s < num_seeds; ++s) seeds.push_back(100 + s);
-  const auto jobs =
-      flow::ExperimentRunner::grid({name}, {spec}, seeds, {}, job(name, spec));
-
-  WorkerSweepReport rep;
-  rep.benchmark = name;
-  rep.num_seeds = num_seeds;
-  rep.parallelism = parallelism;
-
-  // Both sides are cold and private (NOT the process-wide sa_cache()):
-  // the threaded runner would otherwise inherit a warm table no fresh
-  // worker process can have, biasing the axis under measurement.
-  flow::ExperimentRunner threaded(parallelism);
-  auto t0 = Clock::now();
-  const auto in_process = threaded.run(jobs);
-  rep.threads_s = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  flow::DistributedRunner dist(parallelism, /*threads_per_worker=*/1);
-  t0 = Clock::now();
-  const auto sharded = dist.run(jobs);
-  rep.workers_s = std::chrono::duration<double>(Clock::now() - t0).count();
-
-  rep.identical = in_process.size() == sharded.size();
-  for (std::size_t i = 0; rep.identical && i < sharded.size(); ++i)
-    rep.identical = in_process[i].ok &&
-                    flow::same_outcome(in_process[i], sharded[i]);
-  return rep;
-}
-
-void print_worker_sweep(std::ostream& os,
-                        const std::vector<std::string>& benchmarks,
-                        int num_seeds, int parallelism) {
-  if (parallelism <= 0) parallelism = flow::workers_from_env(2);
-  os << "Workers vs threads: " << num_seeds
-     << "-seed Monte-Carlo sweep per benchmark, " << parallelism
-     << " worker processes (hlp_worker fork/exec, SA shards merged) vs "
-     << parallelism << " in-process threads (both cold, coalescing on)\n";
-  AsciiTable t({"Benchmark", "seeds", "threads (ms)", "workers (ms)",
-                "threads/workers", "identical"});
-  for (const auto& name : benchmarks) {
-    WorkerSweepReport rep;
-    try {
-      rep = worker_sweep(name, flow::BinderSpec{"hlpower"}, num_seeds,
-                         parallelism);
-    } catch (const std::exception& e) {
-      // Typically: hlp_worker not built / not next to this binary. Keep
-      // the rows already measured — a partial table beats a dropped one.
-      os << "  (remaining benchmarks skipped: " << e.what() << ")\n";
-      break;
-    }
-    t.row()
-        .add(rep.benchmark)
-        .add(rep.num_seeds)
-        .add(rep.threads_s * 1e3, 1)
-        .add(rep.workers_s * 1e3, 1)
-        .add(rep.ratio(), 2)
-        .add(rep.identical ? "yes" : "NO");
-  }
-  t.print(os);
-  os << "(ratio > 1: processes beat threads on this grid; worker spawn + "
-        "frame I/O is the fixed cost, per-process SA tables the "
-        "variable one)\n\n";
 }
 
 StoreSweepReport store_sweep(const std::string& name,

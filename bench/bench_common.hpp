@@ -135,37 +135,6 @@ void print_simd_sweep(std::ostream& os,
                       const std::vector<std::string>& benchmarks,
                       int num_seeds);
 
-/// One workers-vs-threads comparison of a Monte-Carlo seed sweep: the
-/// same `num_seeds`-seed (benchmark, binder) grid run once through the
-/// in-process ExperimentRunner with `parallelism` threads and once
-/// through a DistributedRunner with `parallelism` single-threaded worker
-/// processes (fork/exec of hlp_worker, SA shards merged back). Both
-/// runners start cold and private, so the measurement isolates the
-/// process-vs-thread axis; `identical` confirms the two paths agreed bit
-/// for bit on every seed (flow::same_outcome).
-struct WorkerSweepReport {
-  std::string benchmark;
-  int num_seeds = 0;
-  int parallelism = 0;
-  double threads_s = 0.0;
-  double workers_s = 0.0;
-  bool identical = false;
-  double ratio() const {
-    return workers_s > 0.0 ? threads_s / workers_s : 0.0;
-  }
-};
-WorkerSweepReport worker_sweep(const std::string& name,
-                               const flow::BinderSpec& spec, int num_seeds,
-                               int parallelism);
-
-/// Run worker_sweep over `benchmarks` and print the comparison table (the
-/// distributed CI leg's artifact). `parallelism` defaults to HLP_WORKERS
-/// or 2. Degrades to a notice (no table) when the hlp_worker binary is
-/// not next to the current executable.
-void print_worker_sweep(std::ostream& os,
-                        const std::vector<std::string>& benchmarks,
-                        int num_seeds, int parallelism = 0);
-
 /// One cold-vs-warm comparison of the persistent artifact store
 /// (src/store/artifact_store.hpp): the same `num_seeds`-seed (benchmark,
 /// binder) grid run by a cold runner that populates a fresh store, then by

@@ -55,10 +55,6 @@ int main(int argc, char** argv) {
   // measures width scaling rather than word utilisation; bit-identity is
   // checked against the u64 row.
   hlp::bench::print_simd_sweep(std::cout, {"wang", "pr"}, 512);
-  // The process-level axis: the same coalesced sweep through HLP_WORKERS
-  // (default 2) hlp_worker processes vs the same number of in-process
-  // threads, bit-identity checked — the distributed CI leg's artifact.
-  hlp::bench::print_worker_sweep(std::cout, {"wang", "pr"}, 64);
   // The persistence axis: the same sweep cold (populating a fresh
   // HLP_STORE directory) and then warm from a fresh runner — the
   // cold-vs-warm stage-timing artifact of the CI artifact-store leg.

@@ -4,7 +4,7 @@
 // the area/power/latency trade-off of the HLPower binding at each point —
 // the kind of exploration a user of the library would run before committing
 // to an allocation. The 16-point grid fans across the ExperimentRunner's
-// thread pool (HLP_JOBS workers, default 4); every allocation is its own
+// thread pool (HLP_JOBS threads, default 4); every allocation is its own
 // memoised FlowContext, all sharing one SA cache.
 //
 // A second phase then Monte-Carlos the stimulus at the lowest-power
@@ -14,16 +14,13 @@
 // per-stage cache hits the seed sweep enjoyed.
 //
 // Run:  ./build/design_space [benchmark]
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
 
 #include "cdfg/benchmarks.hpp"
 #include "common/table.hpp"
-#include "flow/distributed.hpp"
 #include "flow/experiment.hpp"
-#include "flow/job_io.hpp"
 #include "flow/pipeline.hpp"
 
 int main(int argc, char** argv) {
@@ -118,30 +115,5 @@ int main(int argc, char** argv) {
             << "): power " << mean << " +/- " << std::sqrt(var)
             << " mW; stage cache: " << best_ctx.stage_cache().hits()
             << " hits / " << best_ctx.stage_cache().misses() << " misses\n";
-
-  // Third phase: the same Monte-Carlo grid sharded across HLP_WORKERS
-  // (default 2) work-stealing hlp_worker processes. Every algorithm is
-  // deterministic, so the sharded results must agree bit for bit with the
-  // in-process sweep above — verified here, timed for the
-  // workers-vs-threads view.
-  try {
-    const int workers_n = flow::workers_from_env(2);
-    flow::DistributedRunner dist(workers_n, 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto sharded = dist.run(mc_jobs);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    bool identical = sharded.size() == mc.size();
-    for (std::size_t i = 0; identical && i < sharded.size(); ++i)
-      identical = flow::same_outcome(mc[i], sharded[i]);
-    std::cout << "Distributed re-run: " << workers_n << " worker processes, "
-              << sharded.size() << " jobs in " << secs * 1e3 << " ms — "
-              << (identical ? "bit-identical to the in-process sweep"
-                            : "MISMATCH vs the in-process sweep")
-              << "\n";
-  } catch (const std::exception& e) {
-    std::cout << "Distributed re-run skipped: " << e.what() << "\n";
-  }
   return 0;
 }

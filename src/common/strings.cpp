@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <ios>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -64,17 +65,61 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string fmt_hexfloat(double v) {
+  std::ostringstream os;
+  os << std::hexfloat << v;
+  return os.str();
+}
+
+namespace {
+
+// Run a strto* parse of all of `s`: nullopt on an empty parse, trailing
+// text or ERANGE.
+template <typename Parse>
+auto whole_token(const std::string& s, Parse parse)
+    -> std::optional<decltype(parse(s.c_str(), nullptr))> {
+  errno = 0;
+  char* end = nullptr;
+  const auto v = parse(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
+std::optional<long long> parse_i64(const std::string& s) {
+  return whole_token(s, [](const char* p, char** end) {
+    return std::strtoll(p, end, 10);
+  });
+}
+
+std::optional<std::uint64_t> parse_u64(const std::string& s) {
+  if (s.find('-') != std::string::npos) return std::nullopt;
+  return whole_token(s, [](const char* p, char** end) {
+    return static_cast<std::uint64_t>(std::strtoull(p, end, 10));
+  });
+}
+
+std::optional<int> parse_int(const std::string& s) {
+  const std::optional<long long> v = parse_i64(s);
+  if (!v || *v < INT_MIN || *v > INT_MAX) return std::nullopt;
+  return static_cast<int>(*v);
+}
+
+std::optional<double> parse_double(const std::string& s) {
+  return whole_token(s, [](const char* p, char** end) {
+    return std::strtod(p, end);
+  });
+}
+
 int env_int(const char* name, int fallback) {
   const char* env = std::getenv(name);
   if (!env || *env == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(env, &end, 10);
-  HLP_REQUIRE(end != env && *end == '\0',
-              name << "='" << env << "' is not an integer");
-  HLP_REQUIRE(errno != ERANGE && v >= 1 && v <= INT_MAX,
-              name << "='" << env << "' out of range [1, " << INT_MAX << "]");
-  return static_cast<int>(v);
+  const std::optional<int> v = parse_int(env);
+  HLP_REQUIRE(v && *v >= 1, name << "='" << env
+                                 << "' is not an integer in [1, " << INT_MAX
+                                 << "]");
+  return *v;
 }
 
 }  // namespace hlp

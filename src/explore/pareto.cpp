@@ -37,9 +37,9 @@ std::string job_identity(const flow::Job& job) {
   std::ostringstream id;
   // Every axis of the runner's context and group keys plus the stimulus
   // seed; hexfloat doubles so distinct knob values never alias. The SA
-  // mode is serialised RESOLVED for the same reason the distributed
-  // manifest resolves it: a job deferring to HLP_SA_MODE and its round
-  // trip through a worker (sa= pinned) must be the same identity.
+  // mode is serialised RESOLVED for the same reason the job manifest
+  // resolves it: a job deferring to HLP_SA_MODE and its manifest round
+  // trip (sa= pinned) must be the same identity.
   id << job.benchmark << '|' << job.scheduler << '|' << job.rc.adders << 'x'
      << job.rc.multipliers << '|' << job.width << '|' << job.reg_seed << '|'
      << job.sched_spec.min_latency << '|' << job.sched_spec.latency_slack

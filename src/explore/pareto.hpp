@@ -8,7 +8,7 @@
 // runner's result callback: offer() is thread-safe and the final content
 // carries an ARRIVAL-ORDER-INDEPENDENCE guarantee — the same multiset of
 // results yields the bit-identical frontier regardless of thread count,
-// worker count, shuffle, or interleaving. That holds by construction:
+// shuffle, or interleaving. That holds by construction:
 //
 //   - the surviving OBJECTIVE VECTORS are the minimal elements of the
 //     offered multiset under the product order, a set that does not
@@ -23,7 +23,7 @@
 //     within a frontier — so iteration order is deterministic too.
 //
 // Every pipeline in this repository is deterministic bit-for-bit across
-// threads, workers and SIMD widths (same_outcome), so "bit-identical
+// threads and SIMD widths (same_outcome), so "bit-identical
 // frontier" is meaningful: the doubles compare exactly, never by epsilon.
 #pragma once
 

@@ -91,8 +91,22 @@ RunSpec spec_for(const Job& job) {
   return spec;
 }
 
-}  // namespace
+// One dispatchable work item of a run: a singleton job, or one word-sized
+// chunk (one simulator word of seeds — 64 at u64 width, up to 512 under
+// avx512) of a seed-coalescing group. Chunking lets a group larger than a
+// word spread across pool threads while each chunk still fills its lanes.
+struct WorkUnit {
+  // Indices into the planned grid, ascending within the unit.
+  std::vector<std::size_t> members;
+  // Size of the full seed group this unit chunks (1 = ran alone); becomes
+  // JobResult::group_size of every member.
+  std::size_t group_size = 1;
+};
 
+// The unit decomposition run() executes: jobs are grouped by everything
+// except the stimulus seed, and each group is chunked to its resolved
+// word width. `coalesce` off (or a single job) degrades to one singleton
+// unit per job.
 std::vector<WorkUnit> plan_units(const std::vector<Job>& jobs, bool coalesce) {
   std::vector<WorkUnit> units;
   if (!coalesce || jobs.size() <= 1) {
@@ -124,6 +138,8 @@ std::vector<WorkUnit> plan_units(const std::vector<Job>& jobs, bool coalesce) {
   }
   return units;
 }
+
+}  // namespace
 
 std::string sa_cache_file_suffix(int width, SaMode mode) {
   std::string suffix = ".w" + std::to_string(width);

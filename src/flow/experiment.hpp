@@ -79,11 +79,11 @@ struct Job {
   SimdMode simd = SimdMode::kAuto;
   /// SA backend (RunSpec::sa): an absent value defers to HLP_SA_MODE at
   /// context construction (unset environment = estimate). Unlike `simd`
-  /// the mode changes VALUES, so it is resolved once per runner
-  /// process and pinned: it keys the context (different modes never share
-  /// a FlowContext or SaCache), joins the coalescing group key, and rides
-  /// the distributed manifest pre-resolved (`sa=`) so workers run exactly
-  /// the parent's backend regardless of their own environment.
+  /// the mode changes VALUES, so it is resolved once and pinned: it keys
+  /// the context (different modes never share a FlowContext or SaCache),
+  /// joins the coalescing group key, and is written to the job manifest
+  /// pre-resolved (`sa=`), so a reader keys the job under the writer's
+  /// backend regardless of its own environment.
   std::optional<SaMode> sa;
   /// Free-form tag carried through to the result (display only).
   std::string label;
@@ -101,27 +101,6 @@ struct JobResult {
   /// How many jobs shared this job's pipeline invocation (1 = ran alone).
   std::size_t group_size = 1;
 };
-
-/// One dispatchable work item of a run: a singleton job, or one word-sized
-/// chunk (one simulator word of seeds — 64 at u64 width, up to 512 under
-/// avx512) of a seed-coalescing group. Chunking lets a group larger than a
-/// word spread across executors while each chunk still fills its lanes.
-struct WorkUnit {
-  /// Indices into the planned grid, ascending within the unit.
-  std::vector<std::size_t> members;
-  /// Size of the full seed group this unit chunks (1 = ran alone); becomes
-  /// JobResult::group_size of every member.
-  std::size_t group_size = 1;
-};
-
-/// The unit decomposition ExperimentRunner::run executes — and the quantum
-/// the DistributedRunner's streaming dispatch hands to workers: jobs are
-/// grouped by everything except the stimulus seed, and each group is
-/// chunked to its resolved word width. Keeping whole chunks intact across
-/// any executor preserves seed coalescing and lane-aware SIMD sizing, so
-/// every dispatch strategy runs bit-identical pipeline invocations.
-/// `coalesce` off (or a single job) degrades to one singleton unit per job.
-std::vector<WorkUnit> plan_units(const std::vector<Job>& jobs, bool coalesce);
 
 class ExperimentRunner {
  public:
@@ -181,12 +160,6 @@ class ExperimentRunner {
   void set_sa_cache_path(std::string path);
   const std::string& sa_cache_path() const { return sa_cache_path_; }
 
-  /// Save every runner-owned cache to its warm-start file now (run() does
-  /// this automatically; the DistributedRunner calls it after merging
-  /// worker SA shards into this runner's tables). No-op when no path is
-  /// configured.
-  void persist_sa_caches();
-
   /// Persistent artifact-store directory. When non-empty, every context
   /// this runner creates gets its StageCache backed by one shared
   /// ArtifactStore rooted there (miss -> disk probe -> compute ->
@@ -228,6 +201,9 @@ class ExperimentRunner {
 
  private:
   std::string cache_file_for(int width, SaMode mode) const;
+  /// Save every runner-owned cache to its warm-start file (end of run()).
+  /// No-op when no path is configured.
+  void persist_sa_caches();
   store::ArtifactStore* ensure_store_locked();
 
   int num_threads_;
@@ -248,8 +224,8 @@ class ExperimentRunner {
 /// Warm-start file suffix of one (width, mode) SA table under an
 /// HLP_SA_CACHE prefix: ".w<width>" for estimate-mode tables (the name
 /// predating the mode axis, kept so existing caches stay warm) and
-/// ".w<width>.<mode>" otherwise. Shared by the runner, the distributed
-/// shard merge and hlp_worker so every layer agrees on shard names.
+/// ".w<width>.<mode>" otherwise: the name of the runner's table files,
+/// which tests use to find them.
 std::string sa_cache_file_suffix(int width, SaMode mode);
 
 }  // namespace hlp::flow

@@ -1,24 +1,21 @@
 #include "flow/job_io.hpp"
 
 #include <cctype>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <fstream>
-#include <ios>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace hlp::flow {
 
 namespace {
 
 constexpr const char* kManifestMagic = "hlp-manifest";
-constexpr const char* kResultsMagic = "hlp-results";
 
 bool needs_escape(unsigned char c) {
   return c == '%' || std::isspace(c) || !std::isprint(c);
@@ -31,48 +28,24 @@ int hex_digit(char c) {
   return -1;
 }
 
-// ---- scalar round-trip helpers ------------------------------------------
-
-// Hexfloat survives the text round trip bit for bit (operator>> cannot
-// parse hexfloat portably, so reads go through strtod, which can).
-std::string fmt_double(double d) {
-  std::ostringstream os;
-  os << std::hexfloat << d;
-  return os.str();
-}
+// ---- scalar parses (common/strings' strict codec, job_io's messages) -----
 
 double parse_double(const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-              "bad double '" << s << "'");
-  return v;
-}
-
-long long parse_i64(const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-              "bad integer '" << s << "'");
-  return v;
+  const std::optional<double> v = hlp::parse_double(s);
+  HLP_REQUIRE(v, "bad double '" << s << "'");
+  return *v;
 }
 
 std::uint64_t parse_u64(const std::string& s) {
-  HLP_REQUIRE(!s.empty() && s[0] != '-', "bad unsigned '" << s << "'");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-              "bad unsigned '" << s << "'");
-  return v;
+  const std::optional<std::uint64_t> v = hlp::parse_u64(s);
+  HLP_REQUIRE(v, "bad unsigned '" << s << "'");
+  return *v;
 }
 
 int parse_int(const std::string& s) {
-  const long long v = parse_i64(s);
-  HLP_REQUIRE(v >= INT_MIN && v <= INT_MAX, "integer '" << s << "' overflows");
-  return static_cast<int>(v);
+  const std::optional<int> v = hlp::parse_int(s);
+  HLP_REQUIRE(v, "bad integer '" << s << "'");
+  return *v;
 }
 
 const char* engine_name(SimEngine e) {
@@ -83,22 +56,6 @@ SimEngine parse_engine(const std::string& s) {
   if (s == "scalar") return SimEngine::kScalar;
   if (s == "batched") return SimEngine::kBatched;
   HLP_REQUIRE(false, "unknown sim engine '" << s << "'");
-}
-
-OpKind parse_op_kind(const std::string& s) {
-  if (s == "add") return OpKind::kAdd;
-  if (s == "mult") return OpKind::kMult;
-  HLP_REQUIRE(false, "unknown op kind '" << s << "'");
-}
-
-// ---- line tokenization ---------------------------------------------------
-
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) out.push_back(tok);
-  return out;
 }
 
 // key=value fields of a record line (everything after the leading keyword).
@@ -145,22 +102,15 @@ class LineReader {
  public:
   explicit LineReader(std::istream& is) : is_(is) {}
 
-  // The next non-blank line; false at end of input.
-  bool next(std::string& line) {
-    while (std::getline(is_, line)) {
-      ++lineno_;
-      if (!tokens_of(line).empty()) return true;
-    }
-    return false;
-  }
-
-  // The next non-blank line; end of input throws, so a stream cut short
-  // before its footer or trailer is detected.
+  // The next non-blank line; end of input throws, so a manifest cut short
+  // before its footer is detected.
   std::string next_line() {
     std::string line;
-    HLP_REQUIRE(next(line),
-                "truncated: input ends before the 'end' footer or trailer");
-    return line;
+    while (std::getline(is_, line)) {
+      ++lineno_;
+      if (!split_ws(line).empty()) return line;
+    }
+    HLP_REQUIRE(false, "truncated: input ends before the 'end' footer");
   }
 
   int lineno() const { return lineno_; }
@@ -185,57 +135,6 @@ auto parse_lines(std::istream& is, const std::string& source, Parse parse) {
     msg << ": " << e.what();
     throw Error(msg.str());
   }
-}
-
-// The next line, which must be a "<keyword> key=value ..." record.
-Fields record_line(LineReader& r, const char* keyword) {
-  const auto toks = tokens_of(r.next_line());
-  HLP_REQUIRE(toks[0] == keyword, "expected '" << keyword << "' line");
-  return Fields(toks, 1);
-}
-
-// Shared header/footer framing: "<magic> v1" ... "end <magic> <count>".
-std::size_t read_header(LineReader& r, const char* magic) {
-  const auto head = tokens_of(r.next_line());
-  HLP_REQUIRE(head.size() == 2 && head[0] == magic && head[1] == "v1",
-              "bad header (want '" << magic << " v1')");
-  const auto count = tokens_of(r.next_line());
-  HLP_REQUIRE(count.size() == 2 && count[0] == "count", "bad count line");
-  return static_cast<std::size_t>(parse_u64(count[1]));
-}
-
-void check_footer(LineReader& r, const char* magic, std::size_t expected) {
-  const auto toks = tokens_of(r.next_line());
-  HLP_REQUIRE(toks.size() == 3 && toks[0] == "end" && toks[1] == magic,
-              "bad footer (want 'end " << magic << " " << expected << "')");
-  HLP_REQUIRE(parse_u64(toks[2]) == expected,
-              "footer count " << toks[2] << " != declared count " << expected);
-}
-
-// ---- vector lines: "<name> <count> <v0> <v1> ..." ------------------------
-
-template <typename T, typename Fmt>
-void save_vec(std::ostream& os, const char* name, const std::vector<T>& v,
-              Fmt fmt) {
-  os << name << " " << v.size();
-  for (const T& x : v) os << " " << fmt(x);
-  os << "\n";
-}
-
-template <typename T, typename Parse>
-std::vector<T> load_vec(LineReader& r, const char* name, Parse parse) {
-  const auto toks = tokens_of(r.next_line());
-  HLP_REQUIRE(toks[0] == name,
-              "expected '" << name << "' line, got '" << toks[0] << "'");
-  HLP_REQUIRE(toks.size() >= 2, "'" << name << "' line has no count");
-  const std::size_t n = static_cast<std::size_t>(parse_u64(toks[1]));
-  HLP_REQUIRE(toks.size() - 2 == n,
-              "'" << name << "' declares " << n << " values, has "
-                  << toks.size() - 2);
-  std::vector<T> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(parse(toks[2 + i]));
-  return out;
 }
 
 }  // namespace
@@ -285,9 +184,9 @@ void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs) {
        << " benchmark=" << encode_token(j.benchmark)
        << " scheduler=" << encode_token(j.scheduler)
        << " binder=" << encode_token(j.binder.name)
-       << " alpha=" << fmt_double(j.binder.alpha)
-       << " beta_add=" << fmt_double(j.binder.beta_add)
-       << " beta_mult=" << fmt_double(j.binder.beta_mult)
+       << " alpha=" << fmt_hexfloat(j.binder.alpha)
+       << " beta_add=" << fmt_hexfloat(j.binder.beta_add)
+       << " beta_mult=" << fmt_hexfloat(j.binder.beta_mult)
        << " refine=" << (j.binder.refine ? 1 : 0)
        << " adders=" << j.rc.adders << " mults=" << j.rc.multipliers
        << " width=" << j.width << " vectors=" << j.num_vectors
@@ -296,9 +195,9 @@ void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs) {
        << " latency_slack=" << j.sched_spec.latency_slack
        << " engine=" << engine_name(j.sim_engine)
        << " simd=" << simd_mode_name(j.simd)
-       // The SA mode is serialised RESOLVED (the parent's environment
+       // The SA mode is serialised RESOLVED (the writer's environment
        // applies here, once): unlike simd it changes values, so a
-       // worker must never re-consult its own HLP_SA_MODE.
+       // reader must never re-consult its own HLP_SA_MODE.
        << " sa=" << sa_mode_name(effective_sa_mode(j.sa))
        << " label=" << encode_token(j.label) << "\n";
   }
@@ -308,10 +207,17 @@ void save_manifest(std::ostream& os, const std::vector<ManifestJob>& jobs) {
 namespace {
 
 std::vector<ManifestJob> read_manifest(LineReader& r) {
-  const std::size_t n = read_header(r, kManifestMagic);
+  const auto head = split_ws(r.next_line());
+  HLP_REQUIRE(head.size() == 2 && head[0] == kManifestMagic && head[1] == "v1",
+              "bad header (want '" << kManifestMagic << " v1')");
+  const auto count = split_ws(r.next_line());
+  HLP_REQUIRE(count.size() == 2 && count[0] == "count", "bad count line");
+  const std::size_t n = static_cast<std::size_t>(parse_u64(count[1]));
   std::vector<ManifestJob> out;
   for (std::size_t k = 0; k < n; ++k) {
-    const Fields f = record_line(r, "job");
+    const auto toks = split_ws(r.next_line());
+    HLP_REQUIRE(toks[0] == "job", "expected 'job' line");
+    const Fields f(toks, 1);
     ManifestJob mj;
     mj.index = f.z("index");
     Job& j = mj.job;
@@ -336,7 +242,12 @@ std::vector<ManifestJob> read_manifest(LineReader& r) {
     j.label = f.s("label");
     out.push_back(std::move(mj));
   }
-  check_footer(r, kManifestMagic, n);
+  const auto footer = split_ws(r.next_line());
+  HLP_REQUIRE(footer.size() == 3 && footer[0] == "end" &&
+                  footer[1] == kManifestMagic,
+              "bad footer (want 'end " << kManifestMagic << " " << n << "')");
+  HLP_REQUIRE(parse_u64(footer[2]) == n,
+              "footer count " << footer[2] << " != declared count " << n);
   return out;
 }
 
@@ -350,224 +261,6 @@ std::vector<ManifestJob> load_manifest_file(const std::string& path) {
   std::ifstream f(path);
   HLP_REQUIRE(f.good(), "cannot open manifest '" << path << "' for reading");
   return parse_lines(f, path, read_manifest);
-}
-
-// ---- results -------------------------------------------------------------
-
-void save_results(std::ostream& os,
-                  const std::vector<ManifestResult>& results) {
-  os << kResultsMagic << " v1\n";
-  os << "count " << results.size() << "\n";
-  const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
-  const auto i32 = [](int v) { return std::to_string(v); };
-  for (const ManifestResult& mr : results) {
-    const JobResult& r = mr.result;
-    os << "result index=" << mr.index << " ok=" << (r.ok ? 1 : 0)
-       << " error=" << encode_token(r.error)
-       << " seconds=" << fmt_double(r.seconds)
-       << " group_size=" << r.group_size << "\n";
-    if (r.ok) {
-      const PipelineOutcome& o = r.outcome;
-      save_vec(os, "fus", o.fus.fu_of_op, i32);
-      save_vec(os, "kinds", o.fus.kind_of_fu,
-               [](OpKind k) { return std::string(to_string(k)); });
-      save_vec(os, "flipped", o.fus.flipped,
-               [](char c) { return std::to_string(c != 0 ? 1 : 0); });
-      os << "refine refined=" << (o.refined ? 1 : 0)
-         << " flips=" << o.refine.flips_applied
-         << " passes=" << o.refine.passes
-         << " cost_before=" << fmt_double(o.refine.cost_before)
-         << " cost_after=" << fmt_double(o.refine.cost_after) << "\n";
-      const DatapathStats& m = o.flow.mux_stats;
-      os << "mux largest=" << m.largest_mux << " length=" << m.mux_length
-         << " fus=" << m.num_fus << " mean=" << fmt_double(m.muxdiff_mean)
-         << " var=" << fmt_double(m.muxdiff_variance) << "\n";
-      save_vec(os, "muxa", m.mux_size_a, i32);
-      save_vec(os, "muxb", m.mux_size_b, i32);
-      save_vec(os, "muxdiff", m.muxdiff, i32);
-      os << "map luts=" << o.flow.mapped.num_luts
-         << " depth=" << o.flow.mapped.depth
-         << " clock=" << fmt_double(o.flow.clock_period_ns) << "\n";
-      const CycleSimStats& s = o.flow.sim;
-      os << "sim cycles=" << s.num_cycles << " total=" << s.total_transitions
-         << " functional=" << s.functional_transitions << "\n";
-      save_vec(os, "toggles", s.toggles, u64);
-      const PowerReport& p = o.flow.report;
-      os << "power dyn=" << fmt_double(p.dynamic_power_mw)
-         << " clock=" << fmt_double(p.clock_period_ns)
-         << " luts=" << p.num_luts << " regs=" << p.num_registers
-         << " rate=" << fmt_double(p.toggle_rate_mps)
-         << " tpc=" << fmt_double(p.transitions_per_cycle)
-         << " glitch=" << fmt_double(p.glitch_fraction) << "\n";
-      os << "bind seconds=" << fmt_double(o.bind_seconds) << "\n";
-      save_vec(os, "cached", o.cached_stages, encode_token);
-      for (const StageTiming& t : o.timings)
-        os << "timing " << encode_token(t.name) << " "
-           << fmt_double(t.seconds) << "\n";
-    }
-    os << "endresult\n";
-  }
-  os << "end " << kResultsMagic << " " << results.size() << "\n";
-}
-
-namespace {
-
-std::vector<ManifestResult> read_results(LineReader& r) {
-  const std::size_t n = read_header(r, kResultsMagic);
-  std::vector<ManifestResult> out;
-  for (std::size_t k = 0; k < n; ++k) {
-    const Fields head = record_line(r, "result");
-    ManifestResult mr;
-    mr.index = head.z("index");
-    JobResult& res = mr.result;
-    res.ok = head.b("ok");
-    res.error = head.s("error");
-    res.seconds = head.d("seconds");
-    res.group_size = head.z("group_size");
-    if (res.ok) {
-      PipelineOutcome& o = res.outcome;
-      const auto as_int = [](const std::string& s) { return parse_int(s); };
-      o.fus.fu_of_op = load_vec<int>(r, "fus", as_int);
-      o.fus.kind_of_fu = load_vec<OpKind>(r, "kinds", parse_op_kind);
-      o.fus.flipped = load_vec<char>(r, "flipped", [](const std::string& s) {
-        return static_cast<char>(parse_int(s) != 0 ? 1 : 0);
-      });
-      {
-        const Fields f = record_line(r, "refine");
-        o.refined = f.b("refined");
-        o.refine.flips_applied = f.i("flips");
-        o.refine.passes = f.i("passes");
-        o.refine.cost_before = f.d("cost_before");
-        o.refine.cost_after = f.d("cost_after");
-        // The pipeline publishes the refined binding as out.fus too, so
-        // the record does not duplicate it.
-        if (o.refined) o.refine.fus = o.fus;
-      }
-      {
-        const Fields f = record_line(r, "mux");
-        DatapathStats& m = o.flow.mux_stats;
-        m.largest_mux = f.i("largest");
-        m.mux_length = f.i("length");
-        m.num_fus = f.i("fus");
-        m.muxdiff_mean = f.d("mean");
-        m.muxdiff_variance = f.d("var");
-      }
-      o.flow.mux_stats.mux_size_a = load_vec<int>(r, "muxa", as_int);
-      o.flow.mux_stats.mux_size_b = load_vec<int>(r, "muxb", as_int);
-      o.flow.mux_stats.muxdiff = load_vec<int>(r, "muxdiff", as_int);
-      {
-        const Fields f = record_line(r, "map");
-        o.flow.mapped.num_luts = f.i("luts");
-        o.flow.mapped.depth = f.i("depth");
-        o.flow.clock_period_ns = f.d("clock");
-      }
-      {
-        const Fields f = record_line(r, "sim");
-        o.flow.sim.num_cycles = f.u("cycles");
-        o.flow.sim.total_transitions = f.u("total");
-        o.flow.sim.functional_transitions = f.u("functional");
-      }
-      o.flow.sim.toggles = load_vec<std::uint64_t>(
-          r, "toggles", [](const std::string& s) { return parse_u64(s); });
-      {
-        const Fields f = record_line(r, "power");
-        PowerReport& p = o.flow.report;
-        p.dynamic_power_mw = f.d("dyn");
-        p.clock_period_ns = f.d("clock");
-        p.num_luts = f.i("luts");
-        p.num_registers = f.i("regs");
-        p.toggle_rate_mps = f.d("rate");
-        p.transitions_per_cycle = f.d("tpc");
-        p.glitch_fraction = f.d("glitch");
-      }
-      o.bind_seconds = record_line(r, "bind").d("seconds");
-      o.cached_stages = load_vec<std::string>(r, "cached", decode_token);
-      // Zero or more timing lines, then the record terminator.
-      while (true) {
-        const auto toks = tokens_of(r.next_line());
-        if (toks[0] == "endresult") break;
-        HLP_REQUIRE(toks.size() == 3 && toks[0] == "timing",
-                    "expected 'timing' or 'endresult'");
-        o.timings.push_back({decode_token(toks[1]), parse_double(toks[2])});
-      }
-    } else {
-      const auto toks = tokens_of(r.next_line());
-      HLP_REQUIRE(toks.size() == 1 && toks[0] == "endresult",
-                  "failed result record must end at 'endresult'");
-    }
-    out.push_back(std::move(mr));
-  }
-  check_footer(r, kResultsMagic, n);
-  return out;
-}
-
-}  // namespace
-
-std::vector<ManifestResult> load_results(std::istream& is) {
-  return parse_lines(is, "results", read_results);
-}
-
-// ---- streaming protocol v2 ----------------------------------------------
-
-namespace {
-
-// The `endunit <id>` trailer shared by both frame kinds.
-void check_unit_trailer(LineReader& r, std::size_t id) {
-  const auto toks = tokens_of(r.next_line());
-  HLP_REQUIRE(toks.size() == 2 && toks[0] == "endunit" &&
-                  parse_u64(toks[1]) == id,
-              "bad 'endunit' trailer (want 'endunit " << id << "')");
-}
-
-}  // namespace
-
-void save_unit_request(std::ostream& os, std::size_t id,
-                       const std::vector<ManifestJob>& jobs) {
-  os << "unit " << id << "\n";
-  save_manifest(os, jobs);
-  os << "endunit " << id << "\n";
-}
-
-void save_unit_quit(std::ostream& os) { os << "quit\n"; }
-
-UnitRequest load_unit_request(std::istream& is) {
-  return parse_lines(is, "unit request", [](LineReader& r) {
-    UnitRequest req;
-    // The opening line is read leniently: end-of-stream here is a clean
-    // quit, not a truncation (the parent may simply close the pipe).
-    std::string line;
-    if (!r.next(line) || tokens_of(line)[0] == "quit") {
-      req.quit = true;
-      return req;
-    }
-    const auto head = tokens_of(line);
-    HLP_REQUIRE(head.size() == 2 && head[0] == "unit",
-                "expected 'unit <id>' or 'quit', got '" << line << "'");
-    req.id = static_cast<std::size_t>(parse_u64(head[1]));
-    req.jobs = read_manifest(r);
-    check_unit_trailer(r, req.id);
-    return req;
-  });
-}
-
-void save_unit_response(std::ostream& os, std::size_t id,
-                        const std::vector<ManifestResult>& results) {
-  os << "unitdone " << id << "\n";
-  save_results(os, results);
-  os << "endunit " << id << "\n";
-}
-
-UnitResponse load_unit_response(std::istream& is) {
-  return parse_lines(is, "unit response", [](LineReader& r) {
-    const auto head = tokens_of(r.next_line());
-    HLP_REQUIRE(head.size() == 2 && head[0] == "unitdone",
-                "expected 'unitdone <id>' header");
-    UnitResponse resp;
-    resp.id = static_cast<std::size_t>(parse_u64(head[1]));
-    resp.results = read_results(r);
-    check_unit_trailer(r, resp.id);
-    return resp;
-  });
 }
 
 // ---- equality ------------------------------------------------------------

@@ -1,13 +1,12 @@
 #include "power/sa_cache.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -26,7 +25,7 @@ SaCache::SaCache(int width, MapParams map_params, SaMode mode, int sim_vectors,
       sim_vectors_(sim_vectors),
       sim_seed_(sim_seed),
       // Resolve the budget once, here: every entry of one cache must be
-      // computed under the same budget or merges would conflict.
+      // computed under the same budget.
       exact_budget_(mode == SaMode::kExact
                         ? exact_budget_from_env(kDefaultExactBudget)
                         : kDefaultExactBudget) {
@@ -122,8 +121,7 @@ void SaCache::save(std::ostream& os) const {
     os << to_string(static_cast<OpKind>(kind)) << " " << a << " " << b << " "
        << sa << "\n";
   }
-  // Footer: load() skips it as a comment; merge_from requires it, so a
-  // table cut short (crashed writer, partial copy) is detectable.
+  // Footer: load() checks its count against the entries it read.
   os << "# end " << snapshot.size() << "\n";
 }
 
@@ -140,13 +138,10 @@ std::ostream& operator<<(std::ostream& os, const Where& w) {
 }
 
 // Whole-token integer: no trailing junk, no overflow.
-long long parse_int(const std::string& s, const char* field, const Where& at) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  HLP_REQUIRE(end != s.c_str() && *end == '\0' && errno != ERANGE,
-              at << ": bad " << field << " '" << s << "'");
-  return v;
+long long parse_i64(const std::string& s, const char* field, const Where& at) {
+  const std::optional<long long> v = hlp::parse_i64(s);
+  HLP_REQUIRE(v, at << ": bad " << field << " '" << s << "'");
+  return *v;
 }
 
 // One "<kind> <nA> <nB> <sa>" table entry, every token parsed in full.
@@ -167,137 +162,86 @@ Entry parse_entry(const std::vector<std::string>& tok, const std::string& line,
     e.kind = OpKind::kMult;
   else
     HLP_REQUIRE(false, at << ": unknown op kind '" << tok[0] << "'");
-  const long long a = parse_int(tok[1], "mux size", at);
-  const long long b = parse_int(tok[2], "mux size", at);
+  const long long a = parse_i64(tok[1], "mux size", at);
+  const long long b = parse_i64(tok[2], "mux size", at);
   // The key packs each size into 20 bits (SaCache::key).
   HLP_REQUIRE(a >= 1 && b >= 1 && a <= 0xfffff && b <= 0xfffff,
               at << ": mux sizes (" << tok[1] << ", " << tok[2]
                  << ") out of range [1, " << 0xfffff << "]");
   e.a = static_cast<int>(a);
   e.b = static_cast<int>(b);
-  errno = 0;
-  char* end = nullptr;
-  e.sa = std::strtod(tok[3].c_str(), &end);
-  HLP_REQUIRE(end != tok[3].c_str() && *end == '\0' && errno != ERANGE &&
-                  std::isfinite(e.sa),
+  const std::optional<double> sa = hlp::parse_double(tok[3]);
+  HLP_REQUIRE(sa && std::isfinite(*sa),
               at << ": bad SA value '" << tok[3] << "'");
+  e.sa = *sa;
   return e;
+}
+
+// "# SaCache width=<w> k=<k> [mode=<m>]" (`note` is the comment's tokens
+// after '#'): a table computed at another datapath width or under another
+// SA backend carries different values for the same keys.
+void check_header(const std::vector<std::string>& note,
+                  const std::string& line, const Where& at, int width,
+                  SaMode mode) {
+  HLP_REQUIRE(note.size() >= 2 && note[1].rfind("width=", 0) == 0,
+              at << ": not an SaCache table (bad header '" << line << "')");
+  const long long w = parse_i64(note[1].substr(6), "header width", at);
+  HLP_REQUIRE(w == width, at << ": width " << w
+                             << " does not match this cache's width "
+                             << width);
+  std::string file_mode;
+  for (std::size_t i = 2; i < note.size(); ++i)
+    if (note[i].rfind("mode=", 0) == 0) file_mode = note[i].substr(5);
+  // Tables written before the mode tag existed are estimate-mode.
+  if (file_mode.empty()) {
+    HLP_REQUIRE(mode == SaMode::kEstimated,
+                at << ": table carries no mode tag (legacy estimate-mode "
+                      "table) but this cache's mode is '"
+                   << sa_mode_name(mode) << "'");
+  } else {
+    HLP_REQUIRE(file_mode == sa_mode_name(mode),
+                at << ": mode '" << file_mode
+                   << "' does not match this cache's mode '"
+                   << sa_mode_name(mode) << "'");
+  }
 }
 
 }  // namespace
 
-std::size_t SaCache::merge_from(std::istream& is, const std::string& what) {
-  // Parse the whole file into a staging map first: a malformed or
-  // truncated shard must not leave a half-merged table behind.
+void SaCache::load(std::istream& is, const std::string& what) {
+  // Stage every entry first, so a rejected table loads nothing.
   std::map<std::uint64_t, double> staged;
-  std::string line;
-  bool saw_header = false;
+  std::size_t entries = 0;
   bool saw_footer = false;
+  std::string line;
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
     ++lineno;
     const Where at{what, lineno};
-    const auto tok = split_ws(line);
-    if (tok.empty()) continue;
-    if (tok[0] == "#") {
-      if (lineno == 1) {
-        // "# SaCache width=<w> ..." — reject a shard computed at another
-        // datapath width before looking at any entry.
-        HLP_REQUIRE(tok.size() >= 3 && tok[1] == "SaCache" &&
-                        tok[2].rfind("width=", 0) == 0,
-                    at << ": not an SaCache table (bad header '" << line
-                       << "')");
-        const long long w = parse_int(tok[2].substr(6), "header width", at);
-        HLP_REQUIRE(w == width_, at << ": width " << w
-                                    << " does not match this cache's width "
-                                    << width_);
-        // The SA mode changes entry *values*, so a cross-mode merge is a
-        // configuration error, rejected here before any entry is staged.
-        // Tables written before the mode tag existed are estimate-mode.
-        std::string file_mode;
-        for (std::size_t i = 3; i < tok.size(); ++i)
-          if (tok[i].rfind("mode=", 0) == 0) file_mode = tok[i].substr(5);
-        if (file_mode.empty()) {
-          HLP_REQUIRE(mode_ == SaMode::kEstimated,
-                      at << ": table carries no mode tag (legacy "
-                            "estimate-mode table) but this cache's mode is '"
-                         << sa_mode_name(mode_) << "'");
-        } else {
-          HLP_REQUIRE(file_mode == sa_mode_name(mode_),
-                      at << ": mode '" << file_mode
-                         << "' does not match this cache's mode '"
-                         << sa_mode_name(mode_) << "'");
-        }
-        saw_header = true;
-        continue;
-      }
-      if (tok.size() >= 3 && tok[1] == "end") {
-        const long long footer = parse_int(tok[2], "footer count", at);
-        HLP_REQUIRE(footer >= 0, at << ": bad footer count " << footer);
-        const auto declared = static_cast<std::size_t>(footer);
-        HLP_REQUIRE(declared == staged.size(),
-                    at << ": footer declares " << declared
-                       << " entries but the file carries " << staged.size());
-        saw_footer = true;
-        continue;
-      }
-      continue;  // other comments
+    const std::size_t hash = line.find('#');
+    const auto tok = split_ws(std::string_view(line).substr(0, hash));
+    if (!tok.empty()) {
+      HLP_REQUIRE(!saw_footer, at << ": entries after the '# end' footer");
+      const Entry e = parse_entry(tok, line, at);
+      staged[key(e.kind, e.a, e.b)] = e.sa;
+      ++entries;
+      continue;
     }
-    HLP_REQUIRE(saw_header, what << ": missing '# SaCache' header");
-    HLP_REQUIRE(!saw_footer, at << ": entries after the '# end' footer");
-    const Entry e = parse_entry(tok, line, at);
-    staged[key(e.kind, e.a, e.b)] = e.sa;
-  }
-  HLP_REQUIRE(saw_header, what << ": missing '# SaCache' header");
-  HLP_REQUIRE(saw_footer, what << ": truncated — missing '# end' footer");
-
-  std::size_t inserted = 0;
-  for (const auto& [k, sa] : staged) {
-    Shard& shard = shard_for(k);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, fresh] = shard.table.emplace(k, sa);
-    if (fresh) {
-      ++inserted;
-    } else {
-      // Entries are deterministic functions of (kind, a, b) at one width
-      // and configuration, so overlapping shards must agree exactly.
-      const int kind = static_cast<int>(k >> 40);
-      const int a = static_cast<int>((k >> 20) & 0xfffff);
-      const int b = static_cast<int>(k & 0xfffff);
-      HLP_REQUIRE(it->second == sa,
-                  what << ": merge conflict on ("
-                       << to_string(static_cast<OpKind>(kind)) << ", " << a
-                       << ", " << b << "): table has " << it->second
-                       << ", shard has " << sa
-                       << " (shards of one run are deterministic and must "
-                          "agree)");
+    if (hash == std::string::npos) continue;
+    // A comment line: the header and the footer are checked, any other
+    // comment is skipped.
+    const auto note = split_ws(std::string_view(line).substr(hash + 1));
+    if (note.empty()) continue;
+    if (note[0] == "SaCache") {
+      check_header(note, line, at, width_, mode_);
+    } else if (note[0] == "end") {
+      HLP_REQUIRE(note.size() == 2, at << ": bad footer '" << line << "'");
+      const long long footer = parse_i64(note[1], "footer count", at);
+      HLP_REQUIRE(footer >= 0 && static_cast<std::size_t>(footer) == entries,
+                  at << ": footer declares " << footer
+                     << " entries but the file carries " << entries);
+      saw_footer = true;
     }
-  }
-  return inserted;
-}
-
-std::size_t SaCache::merge_from(const std::string& path) {
-  std::ifstream f(path);
-  HLP_REQUIRE(f.good(), "cannot open SA shard '" << path << "' for reading");
-  return merge_from(f, path);
-}
-
-void SaCache::load(std::istream& is, const std::string& what) {
-  // Same entry parser as merge_from; only the header and footer (comments
-  // here) are optional, since legacy tables lack them. Staged like
-  // merge_from, so a rejected table loads nothing.
-  std::map<std::uint64_t, double> staged;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    std::string body = line;
-    if (const auto hash = body.find('#'); hash != std::string::npos)
-      body.resize(hash);
-    const auto tok = split_ws(body);
-    if (tok.empty()) continue;
-    const Entry e = parse_entry(tok, line, Where{what, lineno});
-    staged[key(e.kind, e.a, e.b)] = e.sa;
   }
   for (const auto& [k, sa] : staged) {
     Shard& shard = shard_for(k);

@@ -14,7 +14,7 @@
 // (kSimulated), and analytic per-cone BDD densities with a budgeted
 // Monte-Carlo fallback (kExact, power/exact_activity.hpp). Because the
 // backends produce different values, persisted tables are tagged with
-// their mode and merge_from refuses cross-mode shards.
+// their mode and load() refuses a table of another mode.
 //
 // The memo table is sharded by key hash (kNumShards independent mutex+map
 // shards) so large ExperimentRunner fleets hammering the hot lookup path do
@@ -71,33 +71,19 @@ class SaCache {
   void precompute(int max_mux_a, int max_mux_b);
 
   /// Text persistence: "<kind> <nA> <nB> <sa>" per line, between a
-  /// "# SaCache width=..." header and a "# end <count>" footer (the footer
-  /// is what lets merge_from reject truncated shard files; load() treats
-  /// both as comments, so older tables still load). load() and merge_from
-  /// share one strict entry parser: every token is parsed in full, mux
-  /// sizes must lie in [1, 0xfffff] and SA values must be finite, and an
-  /// error is prefixed "<what>: line N:" (load_file and merge_from(path)
-  /// pass the file path). A rejected table loads nothing.
+  /// "# SaCache width=<w> k=<k> mode=<m>" header and a "# end <count>"
+  /// footer. load() is strict: every token is parsed in full, mux sizes
+  /// must lie in [1, 0xfffff] and SA values must be finite; a header, when
+  /// present, must match this cache's width and mode (an untagged header
+  /// is a legacy estimate-mode table); a footer, when present, must match
+  /// the number of entries before it, and no entry may follow it. A
+  /// headerless legacy table still loads. An error is prefixed
+  /// "<what>: line N:" (load_file passes the file path), and a rejected
+  /// table loads nothing. Loaded entries do not count as misses.
   void save(std::ostream& os) const;
   void load(std::istream& is, const std::string& what = "SA table");
   void save_file(const std::string& path) const;
   void load_file(const std::string& path);
-
-  /// Merge a persisted table (save() output — e.g. a distributed worker's
-  /// private SA shard) into this cache. Strict, unlike load(): the file
-  /// must carry the header (whose width must match this cache, and whose
-  /// mode — when present — must match this cache's mode; a header without
-  /// a mode tag is a legacy estimate-mode table and only merges into a
-  /// kEstimated cache) and the "# end <count>" footer with a matching
-  /// entry count — a corrupt or truncated shard is rejected with an error
-  /// naming the defect, and nothing is merged from a rejected file
-  /// (entries are staged before insertion). Entries new to the table are inserted; entries already
-  /// present must agree bit-exactly (every backend is deterministic, so a
-  /// disagreement means the shard was produced by a different
-  /// configuration) or the merge throws. Returns the number of newly
-  /// inserted entries. Merged entries do not count as misses.
-  std::size_t merge_from(std::istream& is, const std::string& what = "shard");
-  std::size_t merge_from(const std::string& path);
 
   std::size_t size() const;
   int width() const { return width_; }

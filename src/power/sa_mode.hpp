@@ -17,9 +17,9 @@
 //
 // Because values differ between modes, every consumer that caches or
 // serializes activity must resolve the mode *once* and pin it: SaCache
-// tags its persisted tables, merge_from rejects cross-mode shards, and
-// the distributed manifest carries the parent's resolved mode so workers
-// never re-consult their own environment.
+// tags its persisted tables and load() rejects a table of another mode,
+// and the job manifest carries the writer's resolved mode so a reader
+// never re-consults its own environment.
 //
 // Parsing is strict, like HLP_SIMD: unset/empty falls back, anything
 // else must be one of the names above or the sweep dies loudly. There is

@@ -3,17 +3,17 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <ios>
+#include <optional>
 #include <signal.h>
 #include <sstream>
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "flow/job_io.hpp"
 
 namespace hlp::store {
@@ -47,50 +47,23 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-// flow/job_io keeps its numeric helpers private; the store re-implements
-// the same conventions (hexfloat doubles via strtod, whole-token numeric
-// parses) so round trips are bit-exact without widening job_io's API.
-std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << std::hexfloat << v;
-  return os.str();
-}
-
+// Strict whole-token parses (common/strings), with the store's messages.
 double parse_double(const std::string& s, const std::string& what) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  HLP_REQUIRE(end && *end == '\0' && end != s.c_str() && errno != ERANGE,
-              "artifact " << what << ": bad double '" << s << "'");
-  return v;
+  const std::optional<double> v = hlp::parse_double(s);
+  HLP_REQUIRE(v, "artifact " << what << ": bad double '" << s << "'");
+  return *v;
 }
 
 std::uint64_t parse_u64(const std::string& s, const std::string& what) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  HLP_REQUIRE(end && *end == '\0' && end != s.c_str() && errno != ERANGE &&
-                  s[0] != '-',
-              "artifact " << what << ": bad count '" << s << "'");
-  return static_cast<std::uint64_t>(v);
+  const std::optional<std::uint64_t> v = hlp::parse_u64(s);
+  HLP_REQUIRE(v, "artifact " << what << ": bad count '" << s << "'");
+  return *v;
 }
 
 int parse_int(const std::string& s, const std::string& what) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  HLP_REQUIRE(end && *end == '\0' && end != s.c_str() && errno != ERANGE &&
-                  v >= INT_MIN && v <= INT_MAX,
-              "artifact " << what << ": bad integer '" << s << "'");
-  return static_cast<int>(v);
-}
-
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> tok;
-  std::istringstream is(line);
-  std::string t;
-  while (is >> t) tok.push_back(t);
-  return tok;
+  const std::optional<int> v = hlp::parse_int(s);
+  HLP_REQUIRE(v, "artifact " << what << ": bad integer '" << s << "'");
+  return *v;
 }
 
 // Line cursor over a parsed byte range; every read names the source and
@@ -285,16 +258,17 @@ Netlist load_netlist(Reader& r) {
 void save_entry(std::ostream& os, const ArtifactStore::Entry& e) {
   save_fus(os, "", e.fus);
   os << "refine " << (e.refined ? 1 : 0) << ' ' << e.refine.flips_applied
-     << ' ' << e.refine.passes << ' ' << fmt_double(e.refine.cost_before)
-     << ' ' << fmt_double(e.refine.cost_after) << '\n';
+     << ' ' << e.refine.passes << ' ' << fmt_hexfloat(e.refine.cost_before)
+     << ' ' << fmt_hexfloat(e.refine.cost_after) << '\n';
   save_fus(os, "r", e.refine.fus);
   os << "mux " << e.mux_stats.largest_mux << ' ' << e.mux_stats.mux_length
-     << ' ' << e.mux_stats.num_fus << ' ' << fmt_double(e.mux_stats.muxdiff_mean)
-     << ' ' << fmt_double(e.mux_stats.muxdiff_variance) << '\n';
+     << ' ' << e.mux_stats.num_fus << ' '
+     << fmt_hexfloat(e.mux_stats.muxdiff_mean) << ' '
+     << fmt_hexfloat(e.mux_stats.muxdiff_variance) << '\n';
   save_int_vec(os, "muxa", e.mux_stats.mux_size_a);
   save_int_vec(os, "muxb", e.mux_stats.mux_size_b);
   save_int_vec(os, "muxdiff", e.mux_stats.muxdiff);
-  os << "clock " << fmt_double(e.clock_period_ns) << '\n';
+  os << "clock " << fmt_hexfloat(e.clock_period_ns) << '\n';
   os << "map " << e.mapped.num_luts << ' ' << e.mapped.depth << '\n';
   os << "datapath " << e.datapath.width << ' ' << e.datapath.num_phases
      << '\n';
@@ -646,9 +620,8 @@ std::size_t ArtifactStore::merge_from(const std::string& other_root) {
       files.push_back(de.path());
   }
   std::sort(files.begin(), files.end());
-  // Stage strictly before writing anything (SaCache::merge_from's rule): a
-  // corrupt source entry or an overlap conflict rejects the whole merge
-  // with this store untouched.
+  // Stage strictly before writing anything: a corrupt source entry or an
+  // overlap conflict rejects the whole merge with this store untouched.
   struct Staged {
     ArtifactKey key;
     std::string bytes;

@@ -19,15 +19,14 @@
 //              axes the runner groups by.
 //
 // One entry = one file, `objects/<fnv1a64(key)>.art`, in a line-oriented
-// text format that follows the flow/job_io conventions: hexfloat doubles
-// (bit-exact round trips), percent-escaped strings, a `hlp-artifact v2`
-// magic header and an `end hlp-artifact <count>` footer so truncation is
-// detectable, plus an FNV-1a checksum over the payload so bit flips are
-// too. Unlike the job wire format the payload carries the FULL mapped and
-// datapath netlists — the whole point is skipping elaborate/map/time.
+// text format that follows the flow/job_io manifest conventions:
+// hexfloat doubles (bit-exact round trips), percent-escaped strings, a
+// `hlp-artifact v2` magic header and an `end hlp-artifact <count>` footer
+// so truncation is detectable, plus an FNV-1a checksum over the payload
+// so bit flips are too. The payload carries the FULL mapped and datapath
+// netlists — the whole point is skipping elaborate/map/time.
 //
-// Durability contract (modelled on SaCache::merge_from and the results
-// writer):
+// Durability contract:
 //   - Commits are atomic: entries are serialised into a per-process
 //     staging directory and std::rename()d into objects/, so a reader
 //     never observes a half-written entry and a SIGKILLed writer leaves
@@ -43,8 +42,8 @@
 //     an existing *invalid* entry is repaired by overwrite; a 64-bit
 //     address collision between distinct keys keeps the first owner.
 //
-// Thread- and process-safe: many runners, threads and hlp_worker
-// processes may share one store directory (each handle stages under its
+// Thread- and process-safe: many runners, threads and processes may
+// share one store directory (each handle stages under its
 // own staging/p<pid>-<n>/ dir). See docs/artifact-store.md.
 #pragma once
 
@@ -160,9 +159,9 @@ class ArtifactStore {
   void publish(const ArtifactKey& key, const Entry& entry);
 
   /// Merge every entry of the store rooted at `other_root` into this one
-  /// with publish()'s overlap-must-agree semantics. Strict like
-  /// SaCache::merge_from: every source entry is validated (content
-  /// address included) BEFORE anything is written, so a corrupt source or
+  /// with publish()'s overlap-must-agree semantics. Strict: every source
+  /// entry is validated (content address included) BEFORE anything is
+  /// written, so a corrupt source or
   /// a conflict rejects the merge without partial state. Returns the
   /// number of newly inserted entries.
   std::size_t merge_from(const std::string& other_root);

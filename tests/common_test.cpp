@@ -144,6 +144,28 @@ TEST(Strings, Join) {
   EXPECT_EQ(join({}, ","), "");
 }
 
+TEST(Strings, StrictNumberParsesTakeWholeTokensInRange) {
+  EXPECT_EQ(parse_i64("-42"), -42);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  EXPECT_EQ(parse_int("2147483647"), 2147483647);
+  EXPECT_EQ(parse_double("0.5"), 0.5);
+  for (const char* bad : {"", "x", "1x", "1 ", "1.5"}) {
+    EXPECT_FALSE(parse_i64(bad)) << bad;
+    EXPECT_FALSE(parse_u64(bad)) << bad;
+    EXPECT_FALSE(parse_int(bad)) << bad;
+  }
+  EXPECT_FALSE(parse_i64("9223372036854775808"));  // overflow, not clamped
+  EXPECT_FALSE(parse_u64("18446744073709551616"));
+  EXPECT_FALSE(parse_u64("-1"));  // rejected, not wrapped
+  EXPECT_FALSE(parse_int("2147483648"));
+  EXPECT_FALSE(parse_int("-2147483649"));
+  EXPECT_FALSE(parse_double("0.5junk"));
+  EXPECT_FALSE(parse_double("1e999"));
+  // Hexfloat text round-trips every double bit for bit.
+  for (const double v : {0.1, -1.0 / 3.0, 6.02214076e23, 5e-324})
+    EXPECT_EQ(parse_double(fmt_hexfloat(v)), v) << fmt_hexfloat(v);
+}
+
 TEST(Table, AlignsColumns) {
   AsciiTable t({"name", "value"});
   t.row().add("x").add(1);

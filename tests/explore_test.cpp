@@ -1,7 +1,7 @@
 // The incremental explorer tier (src/explore/): the Pareto frontier's
 // dominance/tie semantics and its arrival-order-independence guarantee
-// (same job set -> bit-identical frontier for any shuffle, thread count
-// or worker count), the runner's streaming result callback, and the
+// (same job set -> bit-identical frontier for any shuffle or thread
+// count), the runner's streaming result callback, and the
 // explorer's store-reuse contract — a knob-mutation step against a warm
 // store recomputes ZERO unaffected bind-fus..time spans, pinned through
 // the store's hit/miss/publish counters.
@@ -17,7 +17,6 @@
 
 #include "explore/explorer.hpp"
 #include "explore/pareto.hpp"
-#include "flow/distributed.hpp"
 #include "flow/experiment.hpp"
 #include "power/sa_mode.hpp"
 #include "store/artifact_store.hpp"
@@ -185,32 +184,6 @@ TEST(ParetoStream, FrontierIsBitIdenticalAcrossArrivalOrders) {
   for (int round = 0; round < 3; ++round) {
     std::shuffle(shuffled.begin(), shuffled.end(), rng);
     EXPECT_EQ(streamed(shuffled, 4), reference) << "round " << round;
-  }
-}
-
-TEST(ParetoStream, FrontierMatchesAcrossWorkerProcesses) {
-  // HLP_WORKERS=2-style distribution: the same grid sharded across two
-  // hlp_worker processes must stream to the bit-identical frontier (the
-  // distributed runner returns in job order; insertion order cannot
-  // matter by the frontier guarantee, so inserting the merged results is
-  // exactly a streamed arrival order).
-  const std::vector<flow::Job> jobs = small_grid();
-
-  ParetoFrontier in_process;
-  flow::ExperimentRunner runner(2);
-  runner.set_store_dir("");
-  runner.set_result_callback(
-      [&](std::size_t, const flow::JobResult& r) { in_process.offer(r); });
-  runner.run(jobs);
-
-  try {
-    flow::DistributedRunner dist(2, 1);
-    ParetoFrontier distributed;
-    for (const flow::JobResult& r : dist.run(jobs)) distributed.offer(r);
-    EXPECT_EQ(distributed.points(), in_process.points());
-    EXPECT_EQ(distributed.offered(), in_process.offered());
-  } catch (const std::exception& e) {
-    GTEST_SKIP() << "worker binary unavailable: " << e.what();
   }
 }
 

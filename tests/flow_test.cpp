@@ -355,8 +355,8 @@ TEST(Registry, AnnealBinderIsRegisteredAndValid) {
 TEST(Registry, AnnealBinderIsDeterministic) {
   // Every stochastic choice comes from an Rng seeded by the context's
   // reg_seed, so two contexts with identical options produce identical
-  // bindings (this is what makes anneal safe for the distributed runner's
-  // bit-identity contract).
+  // bindings (this is what makes anneal safe for the runner's
+  // thread-count bit-identity contract).
   const flow::BinderSpec spec{"anneal"};
   flow::FlowContext a(make_paper_benchmark("wang"), {2, 2}, small_options());
   flow::FlowContext b(make_paper_benchmark("wang"), {2, 2}, small_options());

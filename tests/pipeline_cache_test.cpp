@@ -4,24 +4,33 @@
 // stage overrides opt the pipeline out of caching entirely — plus the
 // persistent tier underneath it (HLP_STORE / ExperimentRunner store
 // wiring): a warm second run against the same artifact store skips
-// elaborate/map/time bit-identically from a cold process.
+// elaborate/map/time bit-identically from a cold process, and runners in
+// several threads and a forked process publishing overlapping keys into
+// one store leave it consistent.
 //
 // The direct-FlowContext tests construct their contexts by hand, which
 // never binds an artifact store — their hit/miss/size counters stay exact
 // whatever HLP_STORE says in the surrounding environment.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cdfg/benchmarks.hpp"
+#include "common/rng.hpp"
 #include "flow/experiment.hpp"
 #include "flow/flow_context.hpp"
 #include "flow/job_io.hpp"
 #include "flow/pipeline.hpp"
+#include "power/sa_cache.hpp"
 #include "store/artifact_store.hpp"
 
 namespace hlp {
@@ -361,6 +370,126 @@ TEST(StageCacheStore, CorruptStoreDegradesToAColdRunAndSelfHeals) {
   ASSERT_TRUE(third[0].ok) << third[0].error;
   EXPECT_TRUE(cached(third[0].outcome, "elaborate"));
   EXPECT_TRUE(flow::same_outcome(cold[0], third[0]));
+}
+
+// The randomized dogpile grid: benchmarks x binders (all four registered
+// families, refinement included) x a non-multiple-of-64 seed count,
+// shuffled so the work units interleave coalescing groups.
+std::vector<flow::Job> property_grid() {
+  flow::Job base;
+  base.width = kWidth;
+  base.num_vectors = 40;
+  flow::BinderSpec hlp_half{"hlpower"};
+  flow::BinderSpec lopass{"lopass"};
+  flow::BinderSpec anneal{"anneal"};
+  flow::BinderSpec refined{"hlpower"};
+  refined.alpha = 1.0;
+  refined.refine = true;
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t s = 0; s < 17; ++s) seeds.push_back(300 + s);
+  std::vector<flow::Job> jobs = flow::ExperimentRunner::grid(
+      {"pr", "wang"}, {hlp_half, lopass, anneal, refined}, seeds, {}, base);
+  // One job that fails: its error must match the reference's exactly.
+  base.benchmark = "no-such-benchmark";
+  jobs.push_back(base);
+  Rng rng(7);
+  rng.shuffle(jobs);
+  return jobs;
+}
+
+TEST(StageCacheStore, SharedStoreSurvivesConcurrentRunnersAndWarmsTheRerun) {
+  // The concurrency property: three threaded runners in this process and
+  // a single-threaded runner in a forked child all publish the SAME
+  // overlapping keys into one store, concurrently. Atomic
+  // write-then-rename plus overlap-must-agree means the dogpile must
+  // produce one consistent store — every committed object strictly valid
+  // at its content address — and every participant must still be
+  // bit-identical to a store-less reference run. A warm rerun of the
+  // same randomized grid then comes off disk wholesale.
+  const std::vector<flow::Job> jobs = property_grid();
+  // One SA table for every runner (the child gets a copy, warm): the store
+  // is the shared state under test, and a cold table per runner would only
+  // repeat the same deterministic work.
+  SaCache sa(kWidth, MapParams{}, effective_sa_mode(std::nullopt));
+  auto runner_on = [&sa](int threads, const std::string& store) {
+    auto r = std::make_unique<flow::ExperimentRunner>(
+        threads, flow::ExperimentRunner::GraphProvider{}, &sa);
+    r->set_store_dir(store);
+    return r;
+  };
+  // Inline (one thread), so no thread has started when the child forks.
+  const auto want = runner_on(1, "")->run(jobs);
+
+  const std::string dir = fresh_store_dir("dogpile_store");
+  const pid_t child = ::fork();
+  ASSERT_NE(child, -1);
+  if (child == 0) {
+    int status = 0;
+    try {
+      const auto got = runner_on(1, dir)->run(jobs);
+      if (got.size() != want.size()) status = 2;
+      for (std::size_t i = 0; status == 0 && i < got.size(); ++i)
+        if (!flow::same_outcome(want[i], got[i])) status = 1;
+    } catch (...) {
+      status = 3;
+    }
+    ::_exit(status);
+  }
+
+  std::vector<flow::JobResult> r1, r2, r3;
+  {
+    auto a = runner_on(2, dir);
+    auto b = runner_on(2, dir);
+    auto c = runner_on(2, dir);
+    std::thread ta([&] { r1 = a->run(jobs); });
+    std::thread tb([&] { r2 = b->run(jobs); });
+    r3 = c->run(jobs);
+    ta.join();
+    tb.join();
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "forked runner died (wait status "
+                                 << status << ")";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "forked runner failed (1 = a result diverged, 2 = wrong count, "
+         "3 = threw)";
+  const std::vector<flow::JobResult>* runs[] = {&r1, &r2, &r3};
+  for (int k = 0; k < 3; ++k) {
+    const std::vector<flow::JobResult>& got = *runs[k];
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_TRUE(flow::same_outcome(want[i], got[i]))
+          << "runner " << k << " diverged on job " << i << ": '"
+          << got[i].error << "'";
+  }
+
+  // One consistent store: merge_from is the strict auditor — it refuses
+  // on any entry that is corrupt, misplaced or conflicting, so a clean
+  // full-count merge certifies every object the dogpile committed.
+  store::ArtifactStore audit(fresh_store_dir("dogpile_store_audit"));
+  const std::size_t merged = audit.merge_from(dir);
+  EXPECT_GT(merged, 0u);
+  EXPECT_EQ(merged, audit.size());
+
+  // Warm rerun from a fresh runner: bit-identical, the cached span served
+  // from disk for every job that can hit (the bad-benchmark job still
+  // fails with the same error, and nothing needed repair).
+  auto warm = runner_on(2, dir);
+  const auto got = warm->run(jobs);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(flow::same_outcome(want[i], got[i]))
+        << "warm rerun diverged on job " << i << ": '" << got[i].error << "'";
+    if (got[i].ok) {
+      EXPECT_FALSE(got[i].outcome.cached_stages.empty()) << "job " << i;
+      EXPECT_TRUE(cached(got[i].outcome, "elaborate")) << "job " << i;
+    }
+  }
+  ASSERT_NE(warm->artifact_store(), nullptr);
+  EXPECT_GT(warm->artifact_store()->hits(), 0u);
+  EXPECT_EQ(warm->artifact_store()->rejected(), 0u);
+  EXPECT_EQ(warm->artifact_store()->publishes(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the precalculated SA table (Section 5.2.2): cache/dynamic
-// agreement, persistence round-trip, and monotonicity of the SA values in
-// mux size (bigger input stages -> more estimated switching).
+// agreement, persistence round-trip, the strict table loader (entries,
+// header and footer each checked, errors naming file and line), and
+// monotonicity of the SA values in mux size (bigger input stages -> more
+// estimated switching).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -135,7 +137,7 @@ void expect_line_error(Fn&& fn, const std::string& source, int line,
   }
 }
 
-TEST(SaCache, LoadAndMergeRejectBadEntriesNamingFileAndLine) {
+TEST(SaCache, LoadRejectsBadEntriesNamingFileAndLine) {
   const std::string path = ::testing::TempDir() + "/sa_bad_entry.txt";
   for (const char* bad : kBadEntries) {
     {
@@ -147,9 +149,6 @@ TEST(SaCache, LoadAndMergeRejectBadEntriesNamingFileAndLine) {
     SaCache loaded = small_cache();
     expect_line_error([&] { loaded.load_file(path); }, path, 3, bad);
     EXPECT_EQ(loaded.size(), 0u) << bad;  // a rejected table loads nothing
-    SaCache merged = small_cache();
-    expect_line_error([&] { merged.merge_from(path); }, path, 3, bad);
-    EXPECT_EQ(merged.size(), 0u) << bad;
   }
   std::remove(path.c_str());
 }
@@ -280,155 +279,105 @@ TEST(SaCacheExact, FileRoundTripPreservesModeTag) {
     computed = a.switching_activity(OpKind::kAdd, 1, 2);
     a.save_file(path);
   }
-  // Same-mode cache: merges cleanly, answers without recomputation.
+  // Same-mode cache: loads cleanly, answers without recomputation.
   SaCache b(4, MapParams{}, SaMode::kExact, /*sim_vectors=*/64);
-  EXPECT_EQ(b.merge_from(path), 1u);
+  b.load_file(path);
+  EXPECT_EQ(b.size(), 1u);
   EXPECT_DOUBLE_EQ(b.switching_activity(OpKind::kAdd, 1, 2), computed);
   EXPECT_EQ(b.misses(), 0u);
   std::remove(path.c_str());
 }
 
-// ---- shard merging (the distributed runner's SA reconciliation) ----------
+// ---- header and footer checks of the loader -------------------------------
 
-// A saved table whose entries were computed here, for building shard files.
-std::string shard_text(SaCache& c) {
+// A saved table, for building table files.
+std::string table_text(SaCache& c) {
   std::ostringstream os;
   c.save(os);
   return os.str();
 }
 
-TEST(SaCacheMerge, DisjointShardsUnionCleanly) {
-  SaCache a = small_cache();
-  a.switching_activity(OpKind::kAdd, 1, 1);
-  a.switching_activity(OpKind::kAdd, 1, 2);
-  SaCache b = small_cache();
-  b.switching_activity(OpKind::kMult, 2, 2);
-
-  std::istringstream shard(shard_text(b));
-  const std::size_t misses_before = a.misses();
-  EXPECT_EQ(a.merge_from(shard, "test shard"), 1u);
-  EXPECT_EQ(a.size(), 3u);
-  // Merged entries answer without recomputation and do not count as
-  // misses.
-  EXPECT_DOUBLE_EQ(a.switching_activity(OpKind::kMult, 2, 2),
-                   b.switching_activity(OpKind::kMult, 2, 2));
-  EXPECT_EQ(a.misses(), misses_before);
-}
-
-TEST(SaCacheMerge, OverlappingEntriesMustAgreeExactly) {
-  SaCache a = small_cache();
-  a.switching_activity(OpKind::kAdd, 2, 2);
-  // Identical overlap merges cleanly (0 new entries)...
-  std::istringstream same(shard_text(a));
-  EXPECT_EQ(a.merge_from(same, "test shard"), 0u);
-
-  // ...but a value that disagrees — a shard computed under a different
-  // configuration — is a conflict, not a silent overwrite.
-  SaCache tampered = small_cache();
-  tampered.switching_activity(OpKind::kAdd, 2, 2);
-  std::string text = shard_text(tampered);
-  const auto dot = text.find('.');
-  ASSERT_NE(dot, std::string::npos);
-  text[dot + 1] = text[dot + 1] == '9' ? '8' : '9';  // perturb the value
-  std::istringstream conflict(text);
-  try {
-    a.merge_from(conflict, "test shard");
-    FAIL() << "expected a merge conflict";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("merge conflict"),
-              std::string::npos)
-        << e.what();
+TEST(SaCacheLoad, HeaderAndFooterMismatchesNameFileAndLine) {
+  // One row per defect: the table is written to a file, loaded through
+  // load_file into a cache of `mode` at width 4, and must be rejected
+  // naming the file, the line and the defect, with nothing loaded.
+  struct Row {
+    SaMode mode;
+    std::string text;
+    int line;
+    std::string defect;
+  };
+  const std::vector<Row> rows = {
+      {SaMode::kEstimated,
+       "# SaCache width=8 k=4 mode=estimate\nadd 1 1 3.0\n# end 1\n", 1,
+       "width 8 does not match this cache's width 4"},
+      {SaMode::kEstimated,
+       "# SaCache width=4 k=4 mode=exact\nadd 1 1 3.0\n# end 1\n", 1,
+       "mode 'exact' does not match this cache's mode 'estimate'"},
+      {SaMode::kExact, "# SaCache width=4 k=4\nadd 1 1 3.0\n# end 1\n", 1,
+       "no mode tag"},
+      {SaMode::kEstimated,
+       "# SaCache width=4 k=4 mode=estimate\nadd 1 1 3.0\nadd 1 2 3.5\n"
+       "# end 5\n",
+       4, "footer declares 5 entries but the file carries 2"},
+      {SaMode::kEstimated,
+       "# SaCache width=4 k=4 mode=estimate\nadd 1 1 3.0\n# end 1\n"
+       "add 1 2 3.5\n",
+       4, "entries after the '# end' footer"},
+      {SaMode::kEstimated, "# SaCache k=4 mode=estimate\nadd 1 1 3.0\n", 1,
+       "not an SaCache table"},
+  };
+  const std::string path = ::testing::TempDir() + "/sa_bad_header.txt";
+  for (const Row& row : rows) {
+    std::ofstream(path) << row.text;
+    SaCache c(4, MapParams{}, row.mode, /*sim_vectors=*/64);
+    try {
+      c.load_file(path);
+      ADD_FAILURE() << "expected a rejection: " << row.defect;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path + ": line " + std::to_string(row.line) + ":"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find(row.defect), std::string::npos) << what;
+    }
+    EXPECT_EQ(c.size(), 0u) << row.defect;
   }
-  // The table kept its own value.
-  EXPECT_DOUBLE_EQ(a.switching_activity(OpKind::kAdd, 2, 2),
-                   a.compute_uncached(OpKind::kAdd, 2, 2));
-}
-
-TEST(SaCacheMerge, TruncatedShardRejectedWithoutPartialMerge) {
-  SaCache src = small_cache();
-  src.precompute(2, 2);
-  const std::string full = shard_text(src);
-
-  SaCache dst = small_cache();
-  // Cut before the "# end" footer: rejected, and nothing was merged.
-  std::istringstream cut(full.substr(0, full.rfind("# end")));
-  try {
-    dst.merge_from(cut, "test shard");
-    FAIL() << "expected truncation to be rejected";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("missing '# end' footer"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(dst.size(), 0u);
-
-  // Cut mid-table (footer intact but entries missing): the footer count
-  // mismatch is the defect named.
-  std::string half = full.substr(0, full.size() / 2);
-  half += "\n# end 8\n";
-  std::istringstream bad_count(half);
-  EXPECT_THROW(dst.merge_from(bad_count, "test shard"), Error);
-  EXPECT_EQ(dst.size(), 0u);
-}
-
-TEST(SaCacheMerge, CorruptShardRejected) {
-  SaCache dst = small_cache();
-  std::istringstream garbage("not an sa table at all\n");
-  EXPECT_THROW(dst.merge_from(garbage, "test shard"), Error);
-  std::istringstream bad_kind(
-      "# SaCache width=4 k=4\ndiv 1 1 3.0\n# end 1\n");
-  EXPECT_THROW(dst.merge_from(bad_kind, "test shard"), Error);
-  std::istringstream missing_fields(
-      "# SaCache width=4 k=4\nadd 1\n# end 1\n");
-  EXPECT_THROW(dst.merge_from(missing_fields, "test shard"), Error);
-  EXPECT_EQ(dst.size(), 0u);
-}
-
-TEST(SaCacheMerge, WidthMismatchRejected) {
-  SaCache w8(8);
-  w8.switching_activity(OpKind::kAdd, 1, 1);
-  SaCache w4 = small_cache();
-  std::istringstream shard(shard_text(w8));
-  try {
-    w4.merge_from(shard, "test shard");
-    FAIL() << "expected width mismatch rejection";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("width"), std::string::npos);
-  }
-}
-
-TEST(SaCacheMerge, WarmStartHitsAfterMergeFile) {
-  const std::string path = ::testing::TempDir() + "/sa_merge_shard.txt";
-  {
-    SaCache src = small_cache();
-    src.precompute(2, 2);
-    src.save_file(path);
-  }
-  SaCache warm = small_cache();
-  EXPECT_EQ(warm.merge_from(path), 2u * 2u * 2u);
-  // Every precomputed combination now hits: no misses on lookup.
-  for (int kind = 0; kind < kNumOpKinds; ++kind)
-    for (int a = 1; a <= 2; ++a)
-      for (int b = 1; b <= 2; ++b)
-        warm.switching_activity(static_cast<OpKind>(kind), a, b);
-  EXPECT_EQ(warm.misses(), 0u);
   std::remove(path.c_str());
 }
 
-TEST(SaCacheMerge, ModeMismatchRejectedWithoutPartialMerge) {
-  // A shard computed under another SA backend carries different VALUES for
-  // the same keys; merging it would poison the table. The header check
-  // fires before any entry is staged.
+TEST(SaCacheLoad, HeaderlessAndFooterlessTablesStillLoad) {
+  // Legacy tables predate the header and the footer; both are optional.
+  SaCache legacy = small_cache();
+  std::istringstream bare("add 1 1 3.0\nmult 2 2 4.5\n");
+  legacy.load(bare);
+  EXPECT_EQ(legacy.size(), 2u);
+  EXPECT_EQ(legacy.switching_activity(OpKind::kMult, 2, 2), 4.5);
+  EXPECT_EQ(legacy.misses(), 0u);
+
+  SaCache src = small_cache();
+  src.precompute(2, 2);
+  const std::string full = table_text(src);
+  SaCache no_footer = small_cache();
+  std::istringstream cut(full.substr(0, full.rfind("# end")));
+  no_footer.load(cut);
+  EXPECT_EQ(no_footer.size(), src.size());
+}
+
+TEST(SaCacheLoad, ModeMismatchRejectedWithoutPartialLoad) {
+  // A table computed under another SA backend carries different VALUES
+  // for the same keys; loading it would poison the table. The header
+  // check rejects it and nothing is loaded.
   SaCache exact(4, MapParams{}, SaMode::kExact, /*sim_vectors=*/64);
   exact.switching_activity(OpKind::kAdd, 1, 1);
   exact.switching_activity(OpKind::kMult, 1, 1);
-  const std::string text = shard_text(exact);
+  const std::string text = table_text(exact);
 
   for (const SaMode mode : {SaMode::kEstimated, SaMode::kSimulated}) {
     SaCache dst(4, MapParams{}, mode, /*sim_vectors=*/64);
-    std::istringstream shard(text);
+    std::istringstream table(text);
     try {
-      dst.merge_from(shard, "test shard");
+      dst.load(table, "test table");
       FAIL() << "expected a mode mismatch rejection into "
              << sa_mode_name(mode);
     } catch (const Error& e) {
@@ -436,39 +385,29 @@ TEST(SaCacheMerge, ModeMismatchRejectedWithoutPartialMerge) {
       EXPECT_NE(what.find("mode 'exact'"), std::string::npos) << what;
       EXPECT_NE(what.find(sa_mode_name(mode)), std::string::npos) << what;
     }
-    EXPECT_EQ(dst.size(), 0u);  // nothing partially merged
+    EXPECT_EQ(dst.size(), 0u);  // nothing partially loaded
   }
 }
 
-TEST(SaCacheMerge, LegacyUntaggedTablesAreEstimateMode) {
+TEST(SaCacheLoad, LegacyUntaggedTablesAreEstimateMode) {
   // Tables written before the mode tag existed have a bare header; they
   // can only be estimate-mode, so only an estimate cache accepts them.
   const std::string legacy = "# SaCache width=4 k=4\nadd 1 1 3.0\n# end 1\n";
   SaCache est(4);
   std::istringstream ok(legacy);
-  EXPECT_EQ(est.merge_from(ok, "test shard"), 1u);
+  est.load(ok, "test table");
+  EXPECT_EQ(est.size(), 1u);
 
   SaCache exact(4, MapParams{}, SaMode::kExact, /*sim_vectors=*/64);
   std::istringstream bad(legacy);
   try {
-    exact.merge_from(bad, "test shard");
+    exact.load(bad, "test table");
     FAIL() << "expected the legacy table to be rejected";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("no mode tag"), std::string::npos)
         << e.what();
   }
   EXPECT_EQ(exact.size(), 0u);
-}
-
-TEST(SaCacheMerge, SaveLoadStillToleratesFooter) {
-  // load() (the warm-start reader) must keep reading footer-bearing
-  // tables as plain comments.
-  SaCache a = small_cache();
-  a.switching_activity(OpKind::kAdd, 2, 2);
-  std::istringstream in(shard_text(a));
-  SaCache b = small_cache();
-  b.load(in);
-  EXPECT_EQ(b.size(), 1u);
 }
 
 // ---- warm-start files of the mode axis (HLP_SA_CACHE mechanism) ----------

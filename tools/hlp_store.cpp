@@ -1,4 +1,4 @@
-// hlp_store — fleet-hygiene CLI for the content-addressed artifact store
+// hlp_store — hygiene CLI for the content-addressed artifact store
 // (src/store/artifact_store.hpp, docs/artifact-store.md).
 //
 //   hlp_store fsck <root> [--repair]
@@ -24,20 +24,20 @@
 // pipeline probes), older than --max-age-seconds, or invalid. Filters
 // compose as keeps; --dry-run reports without deleting.
 //
-// merge consolidates worker-fleet shards into one store with the strict
-// SaCache-style merge_from contract: every source object is validated
+// merge consolidates stores into one with the strict merge_from
+// contract: every source object is validated
 // before anything is written, overlaps must agree byte-for-byte, and a
 // corrupt source or a conflict rejects that whole shard without partial
 // state.
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "flow/experiment.hpp"
 #include "flow/job_io.hpp"
 #include "store/artifact_store.hpp"
@@ -55,13 +55,10 @@ int usage() {
 }
 
 std::int64_t parse_seconds(const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  HLP_REQUIRE(end && *end == '\0' && end != s.c_str() && errno != ERANGE &&
-                  v >= 0,
+  const std::optional<long long> v = hlp::parse_i64(s);
+  HLP_REQUIRE(v && *v >= 0,
               "--max-age-seconds '" << s << "' must be a non-negative integer");
-  return static_cast<std::int64_t>(v);
+  return static_cast<std::int64_t>(*v);
 }
 
 int run_fsck(const std::vector<std::string>& args) {
