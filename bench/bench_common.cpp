@@ -12,7 +12,6 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "explore/explorer.hpp"
 #include "flow/job_io.hpp"
 
 namespace hlp::bench {
@@ -377,72 +376,6 @@ void print_store_sweep(std::ostream& os,
   t.print(os);
   os << "(span = bind-fus..time stage seconds the store persists; the "
         "warm span is the disk-probe cost that replaces recomputation)\n\n";
-}
-
-void print_explore_sweep(std::ostream& os,
-                         const std::vector<std::string>& benchmarks,
-                         int num_seeds) {
-  // Base grid: every benchmark under the headline binder across the seed
-  // sweep, at the bench width/vector budget.
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(num_seeds);
-  for (int s = 0; s < num_seeds; ++s) seeds.push_back(100 + s);
-  std::vector<flow::Job> grid;
-  for (const auto& name : benchmarks) {
-    const flow::BinderSpec spec{"hlpower"};
-    const auto rows =
-        flow::ExperimentRunner::grid({name}, {spec}, seeds, {}, job(name, spec));
-    grid.insert(grid.end(), rows.begin(), rows.end());
-  }
-
-  // One store shared by both walks, pid-qualified like store_sweep so
-  // concurrent bench invocations cannot collide, removed afterwards.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("hlp-explore-sweep-" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
-
-  AsciiTable t({"walk", "step", "knobs", "jobs", "spans", "shared", "hits",
-                "recomputed", "frontier", "ms"});
-  std::vector<explore::ParetoPoint> frontiers[2];
-  for (int round = 0; round < 2; ++round) {
-    explore::Explorer ex(grid, dir, 1);
-    explore::KnobStep vectors;
-    vectors.name = "vectors x2";
-    vectors.num_vectors = bench_vectors() * 2;
-    explore::KnobStep alpha;
-    alpha.name = "alpha=1.0";
-    alpha.binder_alpha = 1.0;
-    explore::KnobStep sched;
-    sched.name = "asap sched";
-    sched.scheduler = "asap";
-    ex.step(vectors).step(alpha).step(sched);
-    const explore::Exploration result = ex.run();
-    for (const explore::StepReport& r : result.steps)
-      t.row()
-          .add(round == 0 ? "cold" : "warm")
-          .add(r.name)
-          .add(r.axes)
-          .add(r.num_jobs)
-          .add(r.spans)
-          .add(r.spans_shared)
-          .add(static_cast<std::size_t>(r.store_hits))
-          .add(static_cast<std::size_t>(r.store_publishes))
-          .add(r.frontier_size)
-          .add(r.seconds * 1e3, 1);
-    frontiers[round] = result.frontier;
-  }
-  std::filesystem::remove_all(dir);
-
-  os << "Incremental exploration: the canonical knob walk (base, more "
-        "vectors, binder retune, scheduler switch) over "
-     << grid.size() << " jobs, cold then warm against one store directory "
-     << "(the warm walk must be all-hits / zero-recompute on every step)\n";
-  t.print(os);
-  os << "(frontiers bit-identical across the two walks: "
-     << (frontiers[0] == frontiers[1] ? "yes" : "NO") << "; "
-     << frontiers[0].size() << " Pareto points)\n\n";
 }
 
 }  // namespace hlp::bench

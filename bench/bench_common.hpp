@@ -167,18 +167,4 @@ void print_store_sweep(std::ostream& os,
                        const std::vector<std::string>& benchmarks,
                        int num_seeds);
 
-/// Run the canonical incremental knob walk (base grid, then more vectors
-/// / binder retune / scheduler switch — src/explore/) twice against one
-/// store directory and print the per-step reuse table: a COLD walk where
-/// only the vectors step can reuse (its ArtifactKeys are unchanged, so
-/// every span is a store hit), then the identical walk WARM from the
-/// persisted store, where every step of the walk must be all-hits /
-/// zero-recompute. Wall clock, store hit/recompute counters and the
-/// frontier size per step; the frontiers of the two walks must be
-/// bit-identical (the explorer's order-independence guarantee) — the
-/// artifact-store CI leg uploads this table.
-void print_explore_sweep(std::ostream& os,
-                         const std::vector<std::string>& benchmarks,
-                         int num_seeds);
-
 }  // namespace hlp::bench

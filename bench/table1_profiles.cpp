@@ -60,11 +60,6 @@ int main(int argc, char** argv) {
   // cold-vs-warm stage-timing artifact of the CI artifact-store leg.
   // Bit-identity and whole-span cache hits are checked in the table.
   hlp::bench::print_store_sweep(std::cout, {"wang", "pr"}, 64);
-  // The exploration axis on top of the store: the canonical knob walk
-  // (more vectors / binder retune / scheduler switch) cold then warm —
-  // the warm walk must be all-hits / zero-recompute on every step and
-  // both walks must reach the bit-identical Pareto frontier.
-  hlp::bench::print_explore_sweep(std::cout, {"wang", "pr"}, 16);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

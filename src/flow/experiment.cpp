@@ -21,15 +21,6 @@ namespace hlp::flow {
 
 int jobs_from_env(int fallback) { return env_int("HLP_JOBS", fallback); }
 
-bool coalesce_from_env(bool fallback) {
-  const char* env = std::getenv("HLP_COALESCE");
-  if (!env || *env == '\0') return fallback;
-  const std::string v = env;
-  HLP_REQUIRE(v == "0" || v == "1",
-              "HLP_COALESCE='" << v << "' must be 0 or 1");
-  return v == "1";
-}
-
 std::string store_dir_from_env(std::string fallback) {
   const char* env = std::getenv("HLP_STORE");
   if (!env || *env == '\0') return fallback;
@@ -158,8 +149,7 @@ ExperimentRunner::ExperimentRunner(int num_threads, GraphProvider provider,
                          : [](const std::string& name) {
                              return make_paper_benchmark(name);
                            }),
-      external_cache_(shared_cache),
-      coalesce_(coalesce_from_env(true)) {
+      external_cache_(shared_cache) {
   if (const char* env = std::getenv("HLP_SA_CACHE"); env && *env != '\0')
     sa_cache_path_ = env;
   store_dir_ = store_dir_from_env("");

@@ -43,10 +43,6 @@ namespace hlp::flow {
 /// parsed like vectors_from_env: garbage or non-positive values throw.
 int jobs_from_env(int fallback);
 
-/// Seed-coalescing toggle from the HLP_COALESCE env var, else `fallback`.
-/// Strict like the other env parsers: only "0" and "1" are accepted.
-bool coalesce_from_env(bool fallback);
-
 /// Artifact-store directory from the HLP_STORE env var, else `fallback`.
 /// The value is a path, so there is nothing to parse — validation is
 /// deferred to opening the store (ExperimentRunner::artifact_store throws
@@ -122,8 +118,8 @@ class ExperimentRunner {
   /// result vector is fully populated — failures included, and every
   /// member of a coalesced unit in ascending grid order. Placement is
   /// unchanged: run() still returns results in job order; the callback
-  /// only adds completion-order visibility (an online Pareto frontier, a
-  /// progress bar) on top. With num_threads > 1 the callback runs
+  /// only adds completion-order visibility (a progress bar, a metrics
+  /// sink) on top. With num_threads > 1 the callback runs
   /// concurrently from several workers and must be thread-safe. The
   /// reference passed is the slot itself and stays valid until run()
   /// returns. An empty function disables the hook.
@@ -137,10 +133,9 @@ class ExperimentRunner {
   /// this job's bind-fus..time span: the context's store scope (runner
   /// key + CDFG digest), binding_hash under the default map/timing
   /// parameters, the RESOLVED SA mode and the REQUESTED simd mode
-  /// — mirroring Pipeline::make_cursor. Needs no store configured (the
-  /// explorer diffs steps with it; `hlp_store gc --keep-manifest` derives
-  /// live addresses from it); resolving rc may run the context's probe
-  /// schedule.
+  /// — mirroring Pipeline::make_cursor. Needs no store configured
+  /// (`hlp_store gc --keep-manifest` derives live addresses from it);
+  /// resolving rc may run the context's probe schedule.
   store::ArtifactKey artifact_key_for(const Job& job);
 
   /// The cache contexts of (`width`, `mode`) share: the external cache
@@ -180,9 +175,9 @@ class ExperimentRunner {
 
   /// Coalesce jobs that differ only in stimulus seed into one
   /// Pipeline::run_batch call (one seed per simulator lane, chunked to
-  /// the job's resolved word width). On by default; the HLP_COALESCE env
-  /// var sets the constructor default. Results are bit-identical either
-  /// way (tests/experiment_batch_test).
+  /// the job's resolved word width). On by default; off runs every job
+  /// alone, the reference the coalesced path is checked against. Results
+  /// are bit-identical either way (tests/experiment_batch_test).
   void set_coalescing(bool on) { coalesce_ = on; }
   bool coalescing() const { return coalesce_; }
 

@@ -98,8 +98,8 @@ class FlowContext {
   /// The artifact-store scope this context binds under `runner_key`: the
   /// key plus the structural CDFG digest — exactly the scope
   /// set_artifact_store records, exposed so callers that never open a
-  /// store (the explorer's key diffing, `hlp_store gc --keep-manifest`)
-  /// can compute the same ArtifactKeys the pipeline would probe.
+  /// store (`hlp_store gc --keep-manifest`) can compute the same
+  /// ArtifactKeys the pipeline would probe.
   std::string store_scope(const std::string& runner_key) const;
 
   /// Exact cache key for the artifacts a (binder, mapping, timing) triple

@@ -15,7 +15,7 @@
 //   auto               widest intrinsic backend the running CPU supports
 //                      (avx512 > avx2 > u64) — the flow pipeline's default
 //
-// Parsing is strict, like HLP_JOBS/HLP_COALESCE: unset/empty falls back,
+// Parsing is strict, like HLP_JOBS: unset/empty falls back,
 // anything else must be one of the names above or the sweep dies loudly.
 // Requesting avx2/avx512 on a build or CPU without them is an error, not a
 // silent downgrade (resolve_simd_mode throws).

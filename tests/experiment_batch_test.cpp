@@ -2,16 +2,19 @@
 // grids (mixed benchmarks, binders, 1-200 seeds, group sizes that are not
 // multiples of 64), the coalesced runner must produce JobResults that are
 // bit-identical to a runner with coalescing disabled, in the same order,
-// with failures still captured per job.
+// with failures still captured per job. Also the streaming result
+// callback's contract: once per job, on a fully populated slot, and in
+// ascending grid order within a coalesced unit.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "flow/experiment.hpp"
+#include "flow/job_io.hpp"
 #include "flow/pipeline.hpp"
 
 namespace hlp {
@@ -202,11 +205,88 @@ TEST(ExperimentBatch, GroupFailureIsCapturedOnEveryMemberJob) {
 }
 
 TEST(ExperimentBatch, CoalescingDefaultsOnAndToggles) {
-  unsetenv("HLP_COALESCE");  // isolate from the CI env override
   flow::ExperimentRunner runner(1);
   EXPECT_TRUE(runner.coalescing());  // default on
   runner.set_coalescing(false);
   EXPECT_FALSE(runner.coalescing());
+}
+
+// --- the streaming result callback ---------------------------------------
+
+TEST(ResultCallback, FiresOncePerJobWithThePopulatedSlot) {
+  std::vector<flow::Job> jobs = flow::ExperimentRunner::grid(
+      {"pr", "wang"}, {flow::BinderSpec{"hlpower"}, flow::BinderSpec{"lopass"}},
+      {42, 7, 9}, {}, small_job());
+  // A failing job must fire too.
+  flow::Job bad = jobs[0];
+  bad.benchmark = "no-such-benchmark";
+  jobs.push_back(bad);
+
+  flow::ExperimentRunner runner(4);
+  runner.set_store_dir("");
+  std::mutex mu;
+  std::vector<int> fired(jobs.size(), 0);
+  std::size_t ok_count = 0;
+  runner.set_result_callback([&](std::size_t i, const flow::JobResult& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_LT(i, fired.size());
+    ++fired[i];
+    // The slot is fully populated when the callback fires: either a
+    // success with its outcome or a failure with its error, seconds set.
+    EXPECT_TRUE(r.ok || !r.error.empty());
+    EXPECT_GE(r.seconds, 0.0);
+    EXPECT_EQ(r.job.benchmark, jobs[i].benchmark);
+    EXPECT_EQ(r.job.seed, jobs[i].seed);
+    if (r.ok) ++ok_count;
+  });
+  const auto results = runner.run(jobs);
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    EXPECT_EQ(fired[i], 1) << "job " << i;
+  EXPECT_FALSE(results.back().ok);
+  EXPECT_EQ(ok_count, jobs.size() - 1);
+}
+
+TEST(ResultCallback, CoalescedUnitFiresInAscendingGridOrder) {
+  // Two seed groups interleaved in the grid: pr at indices 0, 2, 4 and
+  // wang at 1, 3. One thread runs each group as one coalesced unit, so
+  // the callback sequence is each group's members contiguous and
+  // ascending, and every member already carries the whole unit's
+  // outcome and wall clock when it fires.
+  auto make = [](const char* bench, std::uint64_t seed) {
+    flow::Job j = small_job();
+    j.benchmark = bench;
+    j.binder.name = "hlpower";
+    j.seed = seed;
+    return j;
+  };
+  const std::vector<flow::Job> jobs = {make("pr", 42), make("wang", 42),
+                                       make("pr", 7), make("wang", 7),
+                                       make("pr", 9)};
+
+  flow::ExperimentRunner runner(1);
+  runner.set_coalescing(true);
+  runner.set_store_dir("");
+  std::vector<std::size_t> order;
+  std::vector<flow::JobResult> seen(jobs.size());
+  runner.set_result_callback([&](std::size_t i, const flow::JobResult& r) {
+    order.push_back(i);
+    seen[i] = r;
+  });
+  const auto results = runner.run(jobs);
+
+  const std::vector<std::size_t> pr_first = {0, 2, 4, 1, 3};
+  const std::vector<std::size_t> wang_first = {1, 3, 0, 2, 4};
+  EXPECT_TRUE(order == pr_first || order == wang_first)
+      << ::testing::PrintToString(order);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job #" + std::to_string(i));
+    ASSERT_TRUE(results[i].ok) << results[i].error;
+    EXPECT_EQ(results[i].group_size, jobs[i].benchmark == "pr" ? 3u : 2u);
+    EXPECT_EQ(seen[i].group_size, results[i].group_size);
+    EXPECT_EQ(seen[i].seconds, results[i].seconds);
+    EXPECT_TRUE(flow::same_outcome(seen[i], results[i]));
+  }
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // stage overrides opt the pipeline out of caching entirely — plus the
 // persistent tier underneath it (HLP_STORE / ExperimentRunner store
 // wiring): a warm second run against the same artifact store skips
-// elaborate/map/time bit-identically from a cold process, and runners in
+// elaborate/map/time bit-identically from a cold process,
+// artifact_key_for names the object a run publishes, and runners in
 // several threads and a forked process publishing overlapping keys into
 // one store leave it consistent.
 //
@@ -334,6 +335,68 @@ TEST(StageCacheStore, RunnersWithoutAStoreStayCold) {
   EXPECT_TRUE(rb[0].outcome.cached_stages.empty());
   EXPECT_TRUE(flow::same_outcome(ra[0], rb[0]));
   EXPECT_EQ(a.artifact_store(), nullptr);
+}
+
+TEST(StageCacheStore, ArtifactKeyForNamesThePublishedSpan) {
+  // artifact_key_for is the key `hlp_store gc --keep-manifest` keeps
+  // alive: it must name exactly the object a run publishes, and it must
+  // move with the knobs that change the bind-fus..time span and only
+  // with those.
+  const std::string dir = fresh_store_dir("pipeline_store_keys");
+  const flow::Job base = store_grid()[0];
+  store::ArtifactKey base_key;
+  {
+    flow::ExperimentRunner runner(1);
+    runner.set_store_dir(dir);
+    const auto r = runner.run({base});
+    ASSERT_TRUE(r[0].ok) << r[0].error;
+    base_key = runner.artifact_key_for(base);
+  }
+  store::ArtifactStore audit(dir);
+  EXPECT_NE(audit.find(base_key), nullptr);
+
+  // One job on a fresh runner over the same store: its in-memory
+  // StageCache starts cold, so the store's counters say whether the span
+  // was reused or recomputed.
+  struct Probe {
+    store::ArtifactKey key;
+    std::uint64_t hits, misses, publishes;
+  };
+  auto probe = [&](const flow::Job& job) {
+    flow::ExperimentRunner runner(1);
+    runner.set_store_dir(dir);
+    const auto r = runner.run({job});
+    EXPECT_TRUE(r[0].ok) << r[0].error;
+    const store::ArtifactStore* st = runner.artifact_store();
+    return Probe{runner.artifact_key_for(job), st->hits(), st->misses(),
+                 st->publishes()};
+  };
+
+  // Tail-only knobs: same key, the span comes off disk.
+  flow::Job more_vectors = base;
+  more_vectors.num_vectors *= 2;
+  flow::Job other_seed = base;
+  other_seed.seed += 1;
+  for (const flow::Job& job : {more_vectors, other_seed}) {
+    const Probe p = probe(job);
+    EXPECT_EQ(p.key, base_key);
+    EXPECT_EQ(p.hits, 1u);
+    EXPECT_EQ(p.misses, 0u);
+    EXPECT_EQ(p.publishes, 0u);
+  }
+
+  // Span-changing knobs: a new key (binding hash, scope), one recompute.
+  flow::Job other_alpha = base;
+  other_alpha.binder.alpha = 1.0;
+  flow::Job other_scheduler = base;
+  other_scheduler.scheduler = "asap";
+  for (const flow::Job& job : {other_alpha, other_scheduler}) {
+    const Probe p = probe(job);
+    EXPECT_NE(p.key, base_key);
+    EXPECT_EQ(p.hits, 0u);
+    EXPECT_EQ(p.misses, 1u);
+    EXPECT_EQ(p.publishes, 1u);
+  }
 }
 
 TEST(StageCacheStore, CorruptStoreDegradesToAColdRunAndSelfHeals) {

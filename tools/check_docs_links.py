@@ -13,7 +13,11 @@ the repo root and under docs/:
   * the "HLP_*" string literals in the program sources (src/, tools/,
     examples/, bench/) are exactly the variables of the docs/env-vars.md
     table, so a deleted knob leaves no stale row and a new one cannot go
-    undocumented.
+    undocumented;
+  * every markdown file a program source or test (src/, tools/,
+    examples/, bench/, tests/) cites by name exists at the repo root or
+    under docs/, so a comment cannot point at a deleted or never-written
+    document.
 
 Exits non-zero with one line per problem, so CI fails loudly.
 """
@@ -29,6 +33,8 @@ ENV_LITERAL_RE = re.compile(r'"(HLP_[A-Z0-9_]+)"')
 ENV_ROW_RE = re.compile(r"^\| `(HLP_[A-Z0-9_]+)` \|", re.MULTILINE)
 SOURCE_DIRS = ("src", "tools", "examples", "bench")
 SOURCE_SUFFIXES = (".cpp", ".hpp", ".py")
+MD_CITE_RE = re.compile(r"[A-Za-z0-9_./-]+\.md\b")
+CITING_DIRS = SOURCE_DIRS + ("tests",)
 
 
 def md_files():
@@ -82,6 +88,24 @@ def check_env_table():
     return problems
 
 
+def check_md_citations():
+    problems = []
+    for d in CITING_DIRS:
+        for path in sorted((REPO / d).rglob("*")):
+            if path.suffix not in SOURCE_SUFFIXES:
+                continue
+            text = path.read_text(encoding="utf-8")
+            for m in MD_CITE_RE.finditer(text):
+                cited = m.group(0)
+                if (REPO / cited).is_file() or (REPO / "docs" / cited).is_file():
+                    continue
+                line = text.count("\n", 0, m.start()) + 1
+                problems.append(
+                    f"{path.relative_to(REPO)}:{line}: cites '{cited}', which "
+                    "is neither at the repo root nor under docs/")
+    return problems
+
+
 def main():
     files = list(md_files())
     if not files:
@@ -91,6 +115,7 @@ def main():
     for path in files:
         problems.extend(check_file(path))
     problems.extend(check_env_table())
+    problems.extend(check_md_citations())
     for p in problems:
         print(p, file=sys.stderr)
     print(f"check_docs_links: {len(files)} files, {len(problems)} problem(s)")
