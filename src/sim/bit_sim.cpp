@@ -1,6 +1,5 @@
 #include "sim/bit_sim.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -162,35 +161,17 @@ GatePlan build_gate_plan(const Netlist& n) {
   return plan;
 }
 
-ConeEvaluator::ConeEvaluator(const Netlist& n,
-                             const std::vector<int>& gate_ids) {
-  in_start.push_back(0);
-  for (int gi : gate_ids) {
-    const Gate& g = n.gates()[gi];
-    tt.push_back(g.tt.bits());
-    k.push_back(static_cast<int>(g.ins.size()));
-    out.push_back(g.out);
-    for (NetId in : g.ins) in_nets.push_back(in);
-    in_start.push_back(static_cast<int>(in_nets.size()));
-  }
-}
-
-void ConeEvaluator::eval(std::vector<char>& value) const {
-  for (std::size_t i = 0; i < tt.size(); ++i) {
-    std::uint32_t m = 0;
-    for (int j = 0; j < k[i]; ++j)
-      m |= static_cast<std::uint32_t>(value[in_nets[in_start[i] + j]] & 1)
-           << j;
-    value[out[i]] = static_cast<char>((tt[i] >> m) & 1u);
-  }
-}
-
-void check_frame_arity(const Netlist& n,
-                       const std::vector<std::vector<char>>& frames) {
-  for (const auto& frame : frames)
-    HLP_REQUIRE(frame.size() == n.inputs().size(),
-                "frame has " << frame.size() << " bits, netlist has "
-                             << n.inputs().size() << " inputs");
+void transpose64(std::uint64_t a[64]) {
+  // Recursive block swap: at block size j, exchange the upper-right and
+  // lower-left j x j sub-blocks of every 2j x 2j block (Warren, Hacker's
+  // Delight, 7-3, with bit c as column c).
+  std::uint64_t m = 0x00000000FFFFFFFFull;
+  for (int j = 32; j != 0; j >>= 1, m ^= m << j)
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
 }
 
 }  // namespace detail
@@ -202,27 +183,29 @@ void check_frame_arity(const Netlist& n,
 // rejected modes the build or CPU cannot honour, so the unreachable
 // HLP_CHECKs only guard against an enum/dispatch mismatch.
 
-CycleSimStats simulate_frames_batched(
-    const Netlist& n, const std::vector<std::vector<char>>& frames,
-    SimdMode simd) {
+namespace {
+
+CycleSimStats frames_batched(const Netlist& n,
+                             const std::vector<std::vector<char>>& frames,
+                             SimdMode simd, int* passes) {
   switch (resolve_simd_mode(simd)) {
     case SimdMode::kU64:
-      return simulate_frames_batched_t<std::uint64_t>(n, frames);
+      return simulate_frames_batched_t<std::uint64_t>(n, frames, passes);
     case SimdMode::kX2:
-      return simulate_frames_batched_t<SimdX2>(n, frames);
+      return simulate_frames_batched_t<SimdX2>(n, frames, passes);
     case SimdMode::kX4:
-      return simulate_frames_batched_t<SimdX4>(n, frames);
+      return simulate_frames_batched_t<SimdX4>(n, frames, passes);
     case SimdMode::kX8:
-      return simulate_frames_batched_t<SimdX8>(n, frames);
+      return simulate_frames_batched_t<SimdX8>(n, frames, passes);
     case SimdMode::kAvx2:
 #if defined(HLP_HAVE_AVX2)
-      return detail::simulate_frames_batched_avx2(n, frames);
+      return detail::simulate_frames_batched_avx2(n, frames, passes);
 #else
       break;
 #endif
     case SimdMode::kAvx512:
 #if defined(HLP_HAVE_AVX512)
-      return detail::simulate_frames_batched_avx512(n, frames);
+      return detail::simulate_frames_batched_avx512(n, frames, passes);
 #else
       break;
 #endif
@@ -230,6 +213,22 @@ CycleSimStats simulate_frames_batched(
       break;  // resolve_simd_mode never returns kAuto
   }
   HLP_CHECK(false, "unreachable SIMD dispatch (frames)");
+}
+
+}  // namespace
+
+CycleSimStats simulate_frames_batched(
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    SimdMode simd) {
+  return frames_batched(n, frames, simd, nullptr);
+}
+
+int detail::latch_recurrence_passes(
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    SimdMode simd) {
+  int passes = 0;
+  frames_batched(n, frames, simd, &passes);
+  return passes;
 }
 
 CycleSimStats simulate_frames(const Netlist& n,

@@ -20,18 +20,26 @@
 // Two batching axes are provided:
 //
 //  - simulate_frames_batched: ONE stimulus sequence, one word of
-//    consecutive cycles at a time. Cycles are made independent by
-//    splitting the run into a cheap scalar phase that advances only the
-//    latch-state recurrence (zero-delay evaluation of the latch-D fanin
-//    cone) and a word-parallel phase that replays each cycle block: a
-//    single topological pass yields all settled states, then one
-//    event-driven unit-delay settle on words reproduces every transient,
-//    glitches included.
+//    consecutive cycles at a time. Cycles are made independent in two
+//    word-parallel phases. Phase 1 computes every cycle's latch state by
+//    time partitioning: each lane owns one contiguous segment of frames,
+//    starts a warm-up early from a guessed state, and all lanes step
+//    together through zero-delay evaluations of the latch-D fanin cone;
+//    lanes whose segment start does not match the state their
+//    predecessor ended in are re-run from that state until every boundary
+//    matches, which makes the result the sequential recurrence's, bit for
+//    bit. The datapaths here forget a guessed state within one input
+//    sample, so one pass is the norm; a state that never forgets (a
+//    free-running counter) re-runs one lane per pass, about one word step
+//    per frame. A netlist without latches skips phase 1. Phase 2 replays
+//    each cycle block: a single topological pass yields all settled
+//    states, then one event-driven unit-delay settle on words reproduces
+//    every transient, glitches included.
 //
 //  - simulate_batch: MANY independent stimulus sequences (e.g. many seeds
 //    of one binding) as lanes. Latch state lives per lane inside the word,
 //    so the whole cycle loop — clock edge, settle, counting — is word
-//    parallel with no scalar phase at all. Runs may have different
+//    parallel with no separate latch-state phase. Runs may have different
 //    lengths; finished lanes are frozen by re-staging their previous
 //    source values.
 //
@@ -108,5 +116,17 @@ std::vector<CycleSimStats> simulate_batch(
     const std::vector<const Netlist*>& netlists,
     const std::vector<std::vector<char>>& frames,
     SimdMode simd = SimdMode::kU64);
+
+namespace detail {
+
+/// How many passes simulate_frames_batched's latch recurrence takes on
+/// these frames at this word width: 1 when every lane's warm-up forgot its
+/// guessed start, more when lanes had to be re-run; 0 without latches or
+/// frames. Runs the whole batched simulation; for tests.
+int latch_recurrence_passes(const Netlist& n,
+                            const std::vector<std::vector<char>>& frames,
+                            SimdMode simd = SimdMode::kU64);
+
+}  // namespace detail
 
 }  // namespace hlp

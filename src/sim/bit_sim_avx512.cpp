@@ -14,8 +14,9 @@
 namespace hlp::detail {
 
 CycleSimStats simulate_frames_batched_avx512(
-    const Netlist& n, const std::vector<std::vector<char>>& frames) {
-  return simulate_frames_batched_t<AvxWord512>(n, frames);
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    int* passes) {
+  return simulate_frames_batched_t<AvxWord512>(n, frames, passes);
 }
 
 std::vector<CycleSimStats> simulate_batch_avx512(

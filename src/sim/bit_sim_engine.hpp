@@ -15,7 +15,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -75,21 +77,9 @@ struct GatePlan {
 /// baseline ISA.
 GatePlan build_gate_plan(const Netlist& n);
 
-/// Scalar zero-delay evaluator for the frames path's latch-state
-/// recurrence (phase 1). Word-independent; defined in bit_sim.cpp.
-struct ConeEvaluator {
-  std::vector<std::uint64_t> tt;
-  std::vector<int> k;
-  std::vector<NetId> out;
-  std::vector<int> in_start;
-  std::vector<NetId> in_nets;
-
-  ConeEvaluator(const Netlist& n, const std::vector<int>& gate_ids);
-  void eval(std::vector<char>& value) const;
-};
-
-void check_frame_arity(const Netlist& n,
-                       const std::vector<std::vector<char>>& frames);
+/// In-place 64x64 bit-matrix transpose: bit c of a[r] moves to bit r of
+/// a[c]. Word-independent; defined in bit_sim.cpp.
+void transpose64(std::uint64_t a[64]);
 
 }  // namespace detail
 
@@ -167,6 +157,9 @@ class BitSimulatorT {
     value_ = words;
   }
   const std::vector<W>& state() const { return value_; }
+  /// Overwrite one net's word in place: no staging, no settle. For callers
+  /// that drive the sources themselves before a settle_zero_delay pass.
+  void set_word(NetId n, W word) { value_[n] = word; }
 
   /// Stage a source word (primary input or latch Q) for the next settle.
   /// Staged nets go on an explicit list so settles pay per staged source,
@@ -184,13 +177,18 @@ class BitSimulatorT {
 
   /// Single topological pass: every net takes its zero-delay value under
   /// the staged sources. No toggle counting; staged marks are consumed.
-  void settle_zero_delay() {
+  void settle_zero_delay() { settle_zero_delay(plan_.topo); }
+
+  /// Zero-delay pass over `gates` only, a topologically ordered subset
+  /// (e.g. the fanin cone of the latch D pins): nets outside it keep their
+  /// words.
+  void settle_zero_delay(const std::vector<int>& gates) {
     for (const NetId net : staged_nets_) {
       staged_dirty_[net] = 0;
       value_[net] = staged_[net];
     }
     staged_nets_.clear();
-    for (int gi : plan_.topo) value_[plan_.gates[gi].out] = eval_gate(gi);
+    for (int gi : gates) value_[plan_.gates[gi].out] = eval_gate(gi);
   }
 
   /// Unit-delay event settle from the staged sources, lockstep across all
@@ -382,48 +380,141 @@ class BitSimulatorT {
   std::vector<NetId> changed_, next_changed_;
 };
 
-/// Word-generic simulate_frames_batched: ONE stimulus sequence, kLanes
-/// consecutive cycles per word. A cheap scalar phase advances only the
-/// latch-state recurrence (zero-delay evaluation of the latch-D fanin
-/// cone); the word-parallel phase replays each kLanes-cycle block — a
-/// single topological pass yields all settled states, then one
-/// event-driven unit-delay settle reproduces every transient, glitches
-/// included. Bit-identical to the scalar path at every width.
+namespace detail {
+
+/// Frames a lane replays before its own segment, from a guessed state, so
+/// that its state has forgotten the guess when the segment starts. The
+/// mapped datapaths rewrite every register from the primary inputs within
+/// one input sample; a lane that has not forgotten is simply re-run, so
+/// this only trades warm-up steps against re-run steps.
+constexpr std::size_t kWarmupFrames = 64;
+
+/// OR the primary-input bits of up to kLanes frames into word `p` of the
+/// PI rows: lane l of packed[s][p] takes byte s of rows[l] (nonzero = 1,
+/// as in the scalar path; a null row reads 0). Eight lanes by eight PIs
+/// per step: eight bytes of each of eight rows fold into one u64 whose
+/// byte j carries PI s + j of the eight lanes.
 template <typename W>
-CycleSimStats simulate_frames_batched_t(
-    const Netlist& n, const std::vector<std::vector<char>>& frames) {
+void pack_pi_word(const std::vector<const char*>& rows, std::size_t np,
+                  std::vector<std::vector<W>>& packed, std::size_t p) {
   using T = WordTraits<W>;
-  constexpr int kLanes = T::kLanes;
-  detail::check_frame_arity(n, frames);
-  const int num_nets = n.num_nets();
-  CycleSimStats stats;
-  stats.num_cycles = frames.size();
-  stats.toggles.assign(num_nets, 0);
-  const std::size_t num_frames = frames.size();
-  if (num_frames == 0) return stats;
+  static_assert(std::endian::native == std::endian::little);
+  constexpr std::uint64_t k7F = 0x7F7F7F7F7F7F7F7Full;
+  constexpr std::uint64_t k01 = 0x0101010101010101ull;
+  const int lanes = static_cast<int>(rows.size());
+  for (int l0 = 0; l0 < lanes; l0 += 8) {
+    const int n8 = std::min(8, lanes - l0);
+    std::size_t s = 0;
+    for (; s + 8 <= np; s += 8) {
+      std::uint64_t y = 0;
+      for (int r = 0; r < n8; ++r) {
+        if (!rows[l0 + r]) continue;
+        std::uint64_t x;
+        std::memcpy(&x, rows[l0 + r] + s, 8);
+        y |= ((((x & k7F) + k7F) | x) >> 7 & k01) << r;
+      }
+      for (int j = 0; j < 8; ++j)
+        T::or_lane(packed[s + j][p], l0, (y >> (8 * j)) & 0xFF);
+    }
+    for (; s < np; ++s)
+      for (int r = 0; r < n8; ++r)
+        if (rows[l0 + r])
+          T::or_lane(packed[s][p], l0 + r, rows[l0 + r][s] != 0 ? 1u : 0u);
+  }
+}
 
-  BitSimulatorT<W> sim(n);
-  // Initial settled state s0 (all sources 0): one zero-delay word pass
-  // with every lane identical, then read lane 0.
-  sim.settle_zero_delay();
-  std::vector<char> sval(num_nets);
-  for (NetId net = 0; net < num_nets; ++net)
-    sval[net] = static_cast<char>(T::lane(sim.word(net), 0));
-  const std::vector<char> s0 = sval;
+/// `w` with every lane moved up by `k` lanes (lane l takes lane l - k;
+/// lanes below k read 0).
+template <typename W>
+W shift_lanes_up(const W& w, std::size_t k) {
+  using T = WordTraits<W>;
+  constexpr int kLimbs = T::kLanes / 64;
+  W r = T::zero();
+  const int q = static_cast<int>(k / 64), b = static_cast<int>(k % 64);
+  for (int c = q; c < kLimbs; ++c) {
+    std::uint64_t v = T::limb(w, c - q) << b;
+    if (b && c > q) v |= T::limb(w, c - q - 1) >> (64 - b);
+    T::set_limb(r, c, v);
+  }
+  return r;
+}
 
+/// Rewrite one source's bit row of `seg` words from segment-major to
+/// cycle-major order, in place. On entry row[j] holds, in lane l, frame
+/// l * seg + j; on exit row[b] holds, in lane m, frame b * kLanes + m.
+/// 64x64 bit-matrix tiles move 64 frames of 64 lanes at a time; `scratch`
+/// (one row of bits) is reused across calls.
+template <typename W>
+void segments_to_cycles(std::vector<W>& row, std::size_t seg,
+                        std::vector<std::uint64_t>& scratch) {
+  using T = WordTraits<W>;
+  constexpr int kLimbs = T::kLanes / 64;
+  // One limb of slack: the last lane's tile rows may straddle the end.
+  scratch.assign(seg * kLimbs + 1, 0);
+  std::uint64_t tile[64];
+  for (std::size_t j0 = 0; j0 < seg; j0 += 64) {
+    const std::size_t rows = std::min<std::size_t>(64, seg - j0);
+    for (int c = 0; c < kLimbs; ++c) {
+      for (std::size_t r = 0; r < 64; ++r)
+        tile[r] = r < rows ? T::limb(row[j0 + r], c) : 0;
+      transpose64(tile);
+      // tile[r] = frames j0.. of lane 64c + r's segment, in bits 0..63.
+      for (int r = 0; r < 64; ++r) {
+        if (!tile[r]) continue;
+        const std::size_t bit =
+            (static_cast<std::size_t>(c) * 64 + r) * seg + j0;
+        const int off = static_cast<int>(bit & 63);
+        scratch[bit >> 6] |= tile[r] << off;
+        if (off) scratch[(bit >> 6) + 1] |= tile[r] >> (64 - off);
+      }
+    }
+  }
+  for (std::size_t b = 0; b < seg; ++b)
+    for (int c = 0; c < kLimbs; ++c)
+      T::set_limb(row[b], c, scratch[b * kLimbs + c]);
+}
+
+/// Phase 1 of simulate_frames_batched_t: the latch-state recurrence,
+/// partitioned in time over the word's lanes (Heidelberger & Stone,
+/// "Parallel trace-driven cache simulation by time partitioning", WSC
+/// 1990). Fills packed[s] (sources: the PIs, then the latch Qs) so that
+/// lane m of packed[s][b] is source s in cycle b * kLanes + m, and returns
+/// the number of passes the recurrence took (1 when no lane was re-run).
+///
+/// Lane l owns the `seg` consecutive frames from l * seg. Every lane
+/// starts kWarmupFrames early from a guessed state: the one frame 0 starts
+/// from (Q = D of s0), which is exact for the lanes whose warm-up reaches
+/// back to frame 0 — lane 0 among them. All lanes step together through
+/// zero-delay word evaluations of the latch-D fanin cone, and each segment
+/// step's Q words are recorded segment-major. Then state matching: a lane
+/// whose recorded start differs from the state its predecessor's segment
+/// ended in is re-run from that state, and stops once its Q words meet its
+/// recorded trajectory again (from there on both runs coincide). Passes
+/// repeat until no lane differs; by induction from lane 0, every segment
+/// then holds the sequential recurrence's states, bit for bit. Each pass
+/// settles at least the lowest differing lane, so the worst case — a state
+/// that never forgets its start, like a free-running counter — is one lane
+/// per pass: about as many word steps as the sequential loop had cycles.
+/// Last, every row is transposed in place into cycle-major order.
+///
+/// `sim` must hold s0 (the all-zero-source settled state) in every lane.
+template <typename W>
+int latch_recurrence_t(BitSimulatorT<W>& sim, const Netlist& n,
+                       const std::vector<std::vector<char>>& frames,
+                       const std::vector<char>& s0,
+                       std::vector<std::vector<W>>& packed) {
+  using T = WordTraits<W>;
+  constexpr std::size_t kLanes = T::kLanes;
   const auto& pis = n.inputs();
   const auto& latches = n.latches();
-  std::vector<NetId> sources(pis);
-  for (const auto& l : latches) sources.push_back(l.q);
+  const std::size_t np = pis.size(), nl = latches.size();
+  const std::size_t num_frames = frames.size();
+  const std::size_t seg = (num_frames + kLanes - 1) / kLanes;
+  const std::size_t used = (num_frames + seg - 1) / seg;
+  const std::size_t warm = std::min(kWarmupFrames, (used - 1) * seg);
 
-  // Phase 1 — scalar latch-state recurrence. Only the fanin cone of the
-  // latch D pins must be evaluated per cycle; everything else is replayed
-  // word-parallel in phase 2. Source values per cycle are packed into one
-  // bit lane per cycle (kLanes cycles per word).
-  const std::size_t blocks = (num_frames + kLanes - 1) / kLanes;
-  std::vector<std::vector<W>> packed(sources.size(),
-                                     std::vector<W>(blocks, T::zero()));
-  std::vector<char> need(num_nets, 0);
+  // Only the fanin cone of the latch D pins feeds the recurrence.
+  std::vector<char> need(n.num_nets(), 0);
   for (const auto& l : latches) need[l.d] = 1;
   std::vector<int> cone;
   const std::vector<int> topo = n.topo_gates();
@@ -434,23 +525,145 @@ CycleSimStats simulate_frames_batched_t(
     for (NetId in : g.ins) need[in] = 1;
   }
   std::reverse(cone.begin(), cone.end());
-  const detail::ConeEvaluator cone_eval(n, cone);
 
-  std::vector<char> qv(latches.size());
-  for (std::size_t t = 0; t < num_frames; ++t) {
-    // Clock edge: every Q samples its D from the previous settled state,
-    // simultaneously (matching UnitDelaySimulator::clock_edge).
-    for (std::size_t i = 0; i < latches.size(); ++i)
-      qv[i] = sval[latches[i].d];
-    for (std::size_t j = 0; j < pis.size(); ++j)
-      sval[pis[j]] = frames[t][j] ? 1 : 0;
-    for (std::size_t i = 0; i < latches.size(); ++i)
-      sval[latches[i].q] = qv[i];
-    cone_eval.eval(sval);
-    for (std::size_t s = 0; s < sources.size(); ++s)
-      T::or_lane(packed[s][t / kLanes],
-                 static_cast<int>(t % kLanes),
-                 static_cast<std::uint64_t>(sval[sources[s]] & 1));
+  // PI words of the segment steps: lane l of packed[s][j] is frame
+  // l * seg + j (0 past the last frame). Step-major, so the words being
+  // filled stay in cache.
+  for (auto& row : packed) row.assign(seg, T::zero());
+  std::vector<const char*> rows(used);
+  for (std::size_t j = 0; j < seg; ++j) {
+    for (std::size_t l = 0; l < used; ++l)
+      rows[l] = l * seg + j < num_frames ? frames[l * seg + j].data() : nullptr;
+    pack_pi_word(rows, np, packed, j);
+  }
+  auto rec = [&](std::size_t i, std::size_t j) -> W& {
+    return packed[np + i][j];
+  };
+
+  std::vector<W> q(nl), q0(nl), ends(nl);
+  for (std::size_t i = 0; i < nl; ++i)
+    q0[i] = T::fill(s0[latches[i].d] != 0);
+  // Clock edge and zero-delay settle: every Q takes q[i], and the PIs the
+  // words of segment step j moved up by k lanes (k segments back).
+  auto step = [&](std::size_t j, std::size_t k) {
+    for (std::size_t s = 0; s < np; ++s)
+      sim.set_word(pis[s], k ? shift_lanes_up(packed[s][j], k) : packed[s][j]);
+    for (std::size_t i = 0; i < nl; ++i) sim.set_word(latches[i].q, q[i]);
+    sim.settle_zero_delay(cone);
+  };
+
+  // Pass 1, warm-up then segments: at step p lane l is at frame
+  // l * seg - warm + p. Lanes at or before frame 0 take its true Q (at step
+  // 0 that is every lane, and D of s0 already is it); earlier frames read
+  // 0 PIs.
+  for (std::size_t p = 0; p < warm + seg; ++p) {
+    const std::size_t at_start = p <= warm ? (warm - p) / seg + 1 : 0;
+    const W exact = T::mask_lo(static_cast<int>(std::min(at_start, kLanes)));
+    for (std::size_t i = 0; i < nl; ++i) {
+      q[i] = (sim.word(latches[i].d) & ~exact) | (q0[i] & exact);
+      if (p >= warm) rec(i, p - warm) = q[i];
+    }
+    // A warm-up frame d before a lane's segment is step k*seg - d of the
+    // segment k lanes down.
+    const std::size_t d = p < warm ? warm - p : 0;
+    const std::size_t k = (d + seg - 1) / seg;
+    step(p + k * seg - warm, k);
+  }
+  for (std::size_t i = 0; i < nl; ++i) ends[i] = sim.word(latches[i].d);
+
+  // State matching: the lanes (from 1) whose recorded start is not the
+  // state their predecessor's segment ended in.
+  const W matched = T::mask_lo(static_cast<int>(used)) & ~T::mask_lo(1);
+  auto differing = [&] {
+    W diff = T::zero();
+    for (std::size_t i = 0; i < nl; ++i)
+      diff = diff | (rec(i, 0) ^ T::shl1(ends[i], 0));
+    return diff & matched;
+  };
+  int passes = 1;
+  for (W redo = differing(); T::any(redo); redo = differing()) {
+    ++passes;
+    HLP_CHECK(passes <= static_cast<int>(used),
+              "latch recurrence did not converge");
+    for (std::size_t j = 0; j < seg; ++j) {
+      W moved = T::zero();
+      for (std::size_t i = 0; i < nl; ++i) {
+        q[i] = j == 0 ? T::shl1(ends[i], 0) : sim.word(latches[i].d);
+        moved = moved | (q[i] ^ rec(i, j));
+      }
+      // A lane back on its recorded trajectory stays on it: it stops.
+      redo = redo & moved;
+      if (!T::any(redo)) break;
+      for (std::size_t i = 0; i < nl; ++i)
+        rec(i, j) = (rec(i, j) & ~redo) | (q[i] & redo);
+      step(j, 0);
+    }
+    for (std::size_t i = 0; i < nl; ++i)
+      ends[i] = (ends[i] & ~redo) | (sim.word(latches[i].d) & redo);
+  }
+
+  std::vector<std::uint64_t> scratch;
+  for (auto& row : packed) segments_to_cycles(row, seg, scratch);
+  return passes;
+}
+
+}  // namespace detail
+
+/// Word-generic simulate_frames_batched: ONE stimulus sequence, kLanes
+/// consecutive cycles per word, in two phases. Phase 1 computes every
+/// cycle's latch state with the time-partitioned recurrence above (one
+/// segment of frames per lane, word steps over the latch-D fanin cone,
+/// re-runs until the segment boundaries match; worst case about one word
+/// step per frame). A netlist without latches skips it and packs the PI
+/// words straight from the frames. Phase 2 replays each kLanes-cycle
+/// block: a single topological pass yields all settled states, then one
+/// event-driven unit-delay settle reproduces every transient, glitches
+/// included. Bit-identical to the scalar path at every width. `passes`,
+/// when non-null, receives phase 1's pass count (0 without latches).
+template <typename W>
+CycleSimStats simulate_frames_batched_t(
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    int* passes = nullptr) {
+  using T = WordTraits<W>;
+  constexpr int kLanes = T::kLanes;
+  detail::check_frame_arity(n, frames);
+  const int num_nets = n.num_nets();
+  CycleSimStats stats;
+  stats.num_cycles = frames.size();
+  stats.toggles.assign(num_nets, 0);
+  if (passes) *passes = 0;
+  const std::size_t num_frames = frames.size();
+  if (num_frames == 0) return stats;
+
+  BitSimulatorT<W> sim(n);
+  // Initial settled state s0 (all sources 0): one zero-delay word pass
+  // with every lane identical, then read lane 0.
+  sim.settle_zero_delay();
+  std::vector<char> s0(num_nets);
+  for (NetId net = 0; net < num_nets; ++net)
+    s0[net] = static_cast<char>(T::lane(sim.word(net), 0));
+
+  const auto& pis = n.inputs();
+  const auto& latches = n.latches();
+  std::vector<NetId> sources(pis);
+  for (const auto& l : latches) sources.push_back(l.q);
+
+  // Phase 1 — the source words of every cycle, one cycle per lane.
+  const std::size_t blocks = (num_frames + kLanes - 1) / kLanes;
+  std::vector<std::vector<W>> packed(sources.size());
+  if (latches.empty()) {
+    for (auto& row : packed) row.assign(blocks, T::zero());
+    std::vector<const char*> rows;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      rows.clear();
+      const std::size_t last = std::min(num_frames, (b + 1) * kLanes);
+      for (std::size_t t = b * kLanes; t < last; ++t)
+        rows.push_back(frames[t].data());
+      detail::pack_pi_word(rows, pis.size(), packed, b);
+    }
+  } else {
+    const int p = detail::latch_recurrence_t(sim, n, frames, s0, packed);
+    if (passes) *passes = p;
   }
 
   // Phase 2 — word-parallel replay, kLanes consecutive cycles per block.
@@ -501,7 +714,7 @@ CycleSimStats simulate_frames_batched_t(
 /// Word-generic simulate_batch: MANY independent stimulus sequences (e.g.
 /// many seeds of one binding) as lanes, kLanes runs per word. Latch state
 /// lives per lane inside the word, so the whole cycle loop — clock edge,
-/// settle, counting — is word-parallel with no scalar phase at all. Runs
+/// settle, counting — is word-parallel with no latch-state phase. Runs
 /// may have different lengths; finished lanes are frozen by re-staging
 /// their previous source values. Bit-identical to per-run scalar
 /// simulation at every width.

@@ -17,12 +17,14 @@
 namespace hlp::detail {
 
 CycleSimStats simulate_frames_batched_avx2(
-    const Netlist& n, const std::vector<std::vector<char>>& frames);
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    int* passes);
 std::vector<CycleSimStats> simulate_batch_avx2(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs);
 
 CycleSimStats simulate_frames_batched_avx512(
-    const Netlist& n, const std::vector<std::vector<char>>& frames);
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    int* passes);
 std::vector<CycleSimStats> simulate_batch_avx512(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs);
 

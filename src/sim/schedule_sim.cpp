@@ -5,17 +5,28 @@
 
 namespace hlp {
 
+namespace detail {
+
+void check_frame_arity(const Netlist& n,
+                       const std::vector<std::vector<char>>& frames) {
+  for (std::size_t t = 0; t < frames.size(); ++t)
+    HLP_REQUIRE(frames[t].size() == n.inputs().size(),
+                "frame " << t << " has " << frames[t].size()
+                         << " bits, netlist has " << n.inputs().size()
+                         << " inputs");
+}
+
+}  // namespace detail
+
 CycleSimStats simulate_frames(const Netlist& n,
                               const std::vector<std::vector<char>>& frames) {
+  detail::check_frame_arity(n, frames);
   UnitDelaySimulator sim(n);
   CycleSimStats stats;
   stats.num_cycles = frames.size();
 
   std::vector<char> before(n.num_nets(), 0);
   for (const auto& frame : frames) {
-    HLP_REQUIRE(frame.size() == n.inputs().size(),
-                "frame has " << frame.size() << " bits, netlist has "
-                             << n.inputs().size() << " inputs");
     for (NetId net = 0; net < n.num_nets(); ++net) before[net] = sim.value(net);
     for (std::size_t j = 0; j < frame.size(); ++j)
       sim.set_input(n.inputs()[j], frame[j] != 0);

@@ -36,4 +36,14 @@ struct CycleSimStats {
 CycleSimStats simulate_frames(const Netlist& n,
                               const std::vector<std::vector<char>>& frames);
 
+namespace detail {
+
+/// Throw hlp::Error naming the first frame whose bit count is not the
+/// netlist's input count ("frame 7 has 2 bits, netlist has 5 inputs").
+/// Shared by the scalar and the bit-parallel frames paths.
+void check_frame_arity(const Netlist& n,
+                       const std::vector<std::vector<char>>& frames);
+
+}  // namespace detail
+
 }  // namespace hlp

@@ -91,8 +91,14 @@ struct WordTraits<std::uint64_t> {
   static int lane(Word w, int l) {
     return static_cast<int>((w >> l) & 1u);
   }
-  /// OR `bit` (0 or 1) into lane `l` — branchless staging primitive.
+  /// OR `bit` (0 or 1) into lane `l` — branchless staging primitive. A
+  /// wider `bit` ORs bit i into lane l + i; it must stay inside the 64-lane
+  /// limb of lane l.
   static void or_lane(Word& w, int l, std::uint64_t bit) { w |= bit << l; }
+  /// Lanes [64c, 64c + 64) as one u64 (bit i = lane 64c + i), and its
+  /// store — the granularity of the bit-matrix transposes.
+  static std::uint64_t limb(Word w, int) { return w; }
+  static void set_limb(Word& w, int, std::uint64_t bits) { w = bits; }
   /// Word with lanes [0, n) set (n may equal kLanes).
   static Word mask_lo(int n) {
     return n >= kLanes ? ones() : (1ull << n) - 1;
@@ -141,6 +147,10 @@ struct WordTraits<SimdWord<N, Tag>> {
   }
   static void or_lane(Word& w, int l, std::uint64_t bit) {
     w.limb[l >> 6] |= bit << (l & 63);
+  }
+  static std::uint64_t limb(const Word& w, int c) { return w.limb[c]; }
+  static void set_limb(Word& w, int c, std::uint64_t bits) {
+    w.limb[c] = bits;
   }
   static Word mask_lo(int n) {
     Word w;
@@ -236,6 +246,10 @@ struct WordTraits<AvxWord256> {
   }
   static void or_lane(Word& w, int l, std::uint64_t bit) {
     w.limb[l >> 6] |= bit << (l & 63);
+  }
+  static std::uint64_t limb(const Word& w, int c) { return w.limb[c]; }
+  static void set_limb(Word& w, int c, std::uint64_t bits) {
+    w.limb[c] = bits;
   }
   // Self-contained (no WordTraits<SimdWord<4>> reference): this TU is
   // compiled with AVX flags, and instantiating the baseline portable
@@ -355,6 +369,10 @@ struct WordTraits<AvxWord512> {
   }
   static void or_lane(Word& w, int l, std::uint64_t bit) {
     w.limb[l >> 6] |= bit << (l & 63);
+  }
+  static std::uint64_t limb(const Word& w, int c) { return w.limb[c]; }
+  static void set_limb(Word& w, int c, std::uint64_t bits) {
+    w.limb[c] = bits;
   }
   // Self-contained for the same cross-ISA COMDAT reason as AvxWord256.
   static Word mask_lo(int n) {

@@ -5,18 +5,28 @@
 // non-multiple-of-64 frame counts and mixed-length run batches, and the
 // same equivalence for every SIMD word width the build/CPU supports
 // (u64/x2/x4/x8 portable limbs plus the AVX2/AVX-512 backends): one
-// randomized grid, every backend, bit for bit.
+// randomized grid, every backend, bit for bit. The frames path's
+// time-partitioned latch recurrence is driven down both of its paths:
+// mapped datapaths and a D = PI register converge in one pass, while a
+// free-running counter and an LFSR never forget their start and force
+// re-runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "cdfg/benchmarks.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "lopass/lopass.hpp"
 #include "mapper/techmap.hpp"
 #include "netlist/modules.hpp"
+#include "rtl/datapath.hpp"
+#include "sched/list_scheduler.hpp"
 #include "sim/bit_sim.hpp"
 #include "sim/schedule_sim.hpp"
 #include "sim/simulator.hpp"
@@ -64,6 +74,116 @@ Netlist random_netlist(std::uint64_t seed, int num_inputs = 5,
   return n;
 }
 
+// Every concrete SimdMode this build + CPU can execute (kU64 first).
+std::vector<SimdMode> supported_modes() {
+  std::vector<SimdMode> modes;
+  for (const SimdMode mode : all_simd_modes())
+    if (mode != SimdMode::kAuto && simd_mode_supported(mode))
+      modes.push_back(mode);
+  return modes;
+}
+
+int lanes_of(SimdMode mode) {
+  switch (mode) {
+    case SimdMode::kX2:
+      return 128;
+    case SimdMode::kX4:
+    case SimdMode::kAvx2:
+      return 256;
+    case SimdMode::kX8:
+    case SimdMode::kAvx512:
+      return 512;
+    default:
+      return 64;
+  }
+}
+
+// A free-running `bits`-bit counter (D = Q + 1 through a ripple carry) with
+// one PI that only reaches an output: its state never forgets its start.
+Netlist counter_netlist(int bits) {
+  Netlist n("counter");
+  const NetId en = n.add_input("en");
+  std::vector<NetId> q;
+  for (int i = 0; i < bits; ++i)
+    q.push_back(n.add_net("q" + std::to_string(i)));
+  NetId carry = kNoNet;
+  for (int i = 0; i < bits; ++i) {
+    const std::string k = std::to_string(i);
+    const NetId d = i == 0 ? n.add_gate_net("d0", {q[0]}, TruthTable::not1())
+                           : n.add_gate_net("d" + k, {q[i], carry},
+                                            TruthTable::xor2());
+    carry = i == 0 ? q[0]
+                   : n.add_gate_net("c" + k, {q[i], carry}, TruthTable::and2());
+    n.add_latch(q[i], d);
+  }
+  n.add_output(n.add_gate_net("out", {en, q.back()}, TruthTable::xor2()));
+  n.validate();
+  return n;
+}
+
+// A 16-bit Fibonacci LFSR whose feedback also XORs in a PI; shift-stage Ds
+// are the previous stage's Q directly. Linear and invertible, so two
+// different start states never meet.
+Netlist lfsr_netlist() {
+  Netlist n("lfsr");
+  const NetId in = n.add_input("in");
+  std::vector<NetId> q;
+  for (int i = 0; i < 16; ++i) q.push_back(n.add_net("q" + std::to_string(i)));
+  const NetId t1 = n.add_gate_net("t1", {q[15], q[13]}, TruthTable::xor2());
+  const NetId t2 = n.add_gate_net("t2", {q[12], q[10]}, TruthTable::xor2());
+  const NetId fb = n.add_gate_net("fb", {t1, t2, in}, TruthTable::xor3());
+  n.add_latch(q[0], fb);
+  for (int i = 1; i < 16; ++i) n.add_latch(q[i], q[i - 1]);
+  n.add_output(n.add_gate_net("out", {q[15], q[7], in}, TruthTable::maj3()));
+  n.validate();
+  return n;
+}
+
+// Registers loaded straight from the PIs (D = PI) every cycle, with logic
+// behind them: one frame fixes the whole state.
+Netlist pi_reset_netlist() {
+  Netlist n("pireset");
+  std::vector<NetId> pis, q;
+  for (int i = 0; i < 4; ++i) {
+    pis.push_back(n.add_input("i" + std::to_string(i)));
+    q.push_back(n.add_net("q" + std::to_string(i)));
+    n.add_latch(q[i], pis[i]);
+  }
+  const NetId a = n.add_gate_net("a", {q[0], q[1], pis[2]}, TruthTable::xor3());
+  const NetId b = n.add_gate_net("b", {q[2], q[3], a}, TruthTable::mux2());
+  n.add_output(n.add_gate_net("y", {a, b, pis[3]}, TruthTable::maj3()));
+  n.validate();
+  return n;
+}
+
+// A paper benchmark through the evaluation flow's front end: Table 2
+// resource constraints, LOPASS binding, 8-bit datapath, depth-mapped LUTs,
+// and the frames of `vectors` random samples.
+struct MappedDesign {
+  Netlist lut;
+  std::vector<std::vector<char>> frames;
+};
+
+MappedDesign mapped_design(const std::string& name,
+                           const ResourceConstraint& rc, int vectors) {
+  const Cdfg g = make_paper_benchmark(name);
+  const Schedule s = list_schedule(g, rc);
+  const Datapath dp =
+      elaborate_datapath(g, s, bind_lopass(g, s, rc), DatapathParams{8});
+  MapResult m = tech_map(dp.netlist, MapParams{CutParams{}, MapMode::kDepth});
+  return {std::move(m.lut_netlist),
+          make_frames(dp, random_samples(vectors, g.num_inputs(), 8, 42))};
+}
+
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(no error)";
+}
+
 void expect_identical(const CycleSimStats& scalar, const CycleSimStats& batched,
                       const std::string& what) {
   EXPECT_EQ(scalar.num_cycles, batched.num_cycles) << what;
@@ -88,13 +208,21 @@ TEST(BitSim, MatchesScalarOnRandomNetlists) {
 }
 
 TEST(BitSim, MatchesScalarOnPureCombinational) {
-  // No latches: the batched path's phase 1 degenerates to frame packing.
+  // No latches: the batched path skips the recurrence and packs the PI
+  // words straight from the frames, at every width.
   const Netlist n = random_netlist(11, 6, 40, /*num_latches=*/0);
-  const auto frames =
-      random_vectors(100, static_cast<int>(n.inputs().size()), 13);
-  expect_identical(simulate_frames(n, frames), simulate_frames_batched(n, frames),
-                   "combinational");
-  EXPECT_GT(simulate_frames_batched(n, frames).total_transitions, 0u);
+  for (const int num_frames : {1, 100, 513}) {
+    const auto frames = random_vectors(
+        num_frames, static_cast<int>(n.inputs().size()), 13);
+    const CycleSimStats scalar = simulate_frames(n, frames);
+    EXPECT_GT(scalar.total_transitions, 0u);
+    for (const SimdMode mode : supported_modes()) {
+      const std::string what = std::string(simd_mode_name(mode)) +
+                               " T=" + std::to_string(num_frames);
+      expect_identical(scalar, simulate_frames_batched(n, frames, mode), what);
+      EXPECT_EQ(detail::latch_recurrence_passes(n, frames, mode), 0) << what;
+    }
+  }
 }
 
 TEST(BitSim, MatchesScalarOnMappedMultiplier) {
@@ -146,6 +274,17 @@ TEST(BitSim, EmptyFrameListAndArityChecks) {
   EXPECT_EQ(st.total_transitions, 0u);
   EXPECT_EQ(st.toggles, std::vector<std::uint64_t>(n.num_nets(), 0));
   EXPECT_THROW(simulate_frames_batched(n, {{1, 0}}), Error);
+  // A bad frame in the middle of a run is named by its index, on the
+  // scalar, frames-batched and multi-run paths alike.
+  auto frames = random_vectors(12, static_cast<int>(n.inputs().size()), 5);
+  frames[7].resize(2);
+  const std::string want = "frame 7 has 2 bits, netlist has 5 inputs";
+  EXPECT_EQ(error_of([&] { simulate_frames(n, frames); }), want);
+  for (const SimdMode mode : supported_modes())
+    EXPECT_EQ(error_of([&] { simulate_frames_batched(n, frames, mode); }),
+              want)
+        << simd_mode_name(mode);
+  EXPECT_EQ(error_of([&] { simulate_batch(n, {frames}); }), want);
 }
 
 TEST(BitSim, BatchOfRunsMatchesPerRunScalar) {
@@ -194,15 +333,6 @@ TEST(BitSim, EngineDispatchAgrees) {
       random_vectors(77, static_cast<int>(n.inputs().size()), 3);
   expect_identical(simulate_frames(n, frames, SimEngine::kScalar),
                    simulate_frames(n, frames, SimEngine::kBatched), "dispatch");
-}
-
-// Every concrete SimdMode this build + CPU can execute (kU64 first).
-std::vector<SimdMode> supported_modes() {
-  std::vector<SimdMode> modes;
-  for (const SimdMode mode : all_simd_modes())
-    if (mode != SimdMode::kAuto && simd_mode_supported(mode))
-      modes.push_back(mode);
-  return modes;
 }
 
 TEST(BitSimWidths, BatchOfRunsMatchesScalarAtEveryWidth) {
@@ -257,6 +387,85 @@ TEST(BitSimWidths, FramesBatchedMatchesScalarAtEveryWidth) {
       expect_identical(scalar, simulate_frames_batched(n, frames, mode),
                        std::string(simd_mode_name(mode)) + " T=" +
                            std::to_string(num_frames));
+  }
+}
+
+TEST(BitSimRecurrence, MappedDatapathsConvergeInOnePass) {
+  // The registers of a mapped datapath are rewritten from the PIs within
+  // one input sample, so every lane's warm-up forgets its guessed start.
+  for (const auto& [name, rc] :
+       {std::pair<std::string, ResourceConstraint>{"wang", {2, 2}},
+        std::pair<std::string, ResourceConstraint>{"mcm", {4, 2}}}) {
+    const MappedDesign d = mapped_design(name, rc, 50);
+    ASSERT_FALSE(d.lut.latches().empty()) << name;
+    for (const SimdMode mode : supported_modes())
+      EXPECT_EQ(detail::latch_recurrence_passes(d.lut, d.frames, mode), 1)
+          << name << " " << simd_mode_name(mode);
+  }
+}
+
+TEST(BitSimRecurrence, PiLoadedRegistersConvergeInOnePass) {
+  const Netlist n = pi_reset_netlist();
+  const auto frames = random_vectors(2000, 4, 77);
+  const CycleSimStats scalar = simulate_frames(n, frames);
+  for (const SimdMode mode : supported_modes()) {
+    EXPECT_EQ(detail::latch_recurrence_passes(n, frames, mode), 1)
+        << simd_mode_name(mode);
+    expect_identical(scalar, simulate_frames_batched(n, frames, mode),
+                     simd_mode_name(mode));
+  }
+}
+
+TEST(BitSimRecurrence, StateThatNeverForgetsForcesReRuns) {
+  // Lanes past the first warm-up start from a wrong guess that never fades,
+  // so state matching must re-run them (one lane settles per pass at
+  // worst) and still reproduce the sequential recurrence.
+  for (const Netlist& n : {counter_netlist(10), lfsr_netlist()}) {
+    const auto frames = random_vectors(513, 1, 99);
+    const CycleSimStats scalar = simulate_frames(n, frames);
+    for (const SimdMode mode : supported_modes()) {
+      const std::string what = n.name() + " " + simd_mode_name(mode);
+      EXPECT_GT(detail::latch_recurrence_passes(n, frames, mode), 1) << what;
+      expect_identical(scalar, simulate_frames_batched(n, frames, mode), what);
+    }
+  }
+}
+
+TEST(BitSimRecurrence, MatchesScalarAtSegmentEdgesOnEveryWidth) {
+  // Frame counts around every segment edge: none, one, one word of lanes
+  // and either side of it, 513, and 3 * lanes + 5 (segments of 4 frames,
+  // shorter than the warm-up, so warm-ups reach across several segments).
+  std::vector<std::pair<std::string, Netlist>> netlists;
+  std::vector<std::vector<std::vector<char>>> stimuli;
+  for (const auto& [name, rc] :
+       {std::pair<std::string, ResourceConstraint>{"wang", {2, 2}},
+        std::pair<std::string, ResourceConstraint>{"mcm", {4, 2}}}) {
+    MappedDesign d = mapped_design(name, rc, 100);
+    netlists.emplace_back(name, std::move(d.lut));
+    stimuli.push_back(std::move(d.frames));
+  }
+  netlists.emplace_back("counter", counter_netlist(10));
+  stimuli.push_back(random_vectors(3 * 512 + 5, 1, 7));
+  netlists.emplace_back("lfsr", lfsr_netlist());
+  stimuli.push_back(random_vectors(3 * 512 + 5, 1, 8));
+
+  for (std::size_t k = 0; k < netlists.size(); ++k) {
+    const auto& [name, n] = netlists[k];
+    std::map<int, CycleSimStats> scalar;  // by frame count
+    for (const SimdMode mode : supported_modes()) {
+      const int lanes = lanes_of(mode);
+      for (const int count :
+           {0, 1, lanes - 1, lanes, lanes + 1, 513, 3 * lanes + 5}) {
+        ASSERT_LE(static_cast<std::size_t>(count), stimuli[k].size()) << name;
+        const std::vector<std::vector<char>> frames(
+            stimuli[k].begin(), stimuli[k].begin() + count);
+        if (!scalar.count(count)) scalar[count] = simulate_frames(n, frames);
+        expect_identical(scalar[count],
+                         simulate_frames_batched(n, frames, mode),
+                         name + " " + simd_mode_name(mode) + " T=" +
+                             std::to_string(count));
+      }
+    }
   }
 }
 
