@@ -1,6 +1,7 @@
 #include "sim/bit_sim.hpp"
 
 #include <bit>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -185,10 +186,10 @@ void transpose64(std::uint64_t a[64]) {
 
 namespace {
 
-CycleSimStats frames_batched(const Netlist& n,
-                             const std::vector<std::vector<char>>& frames,
-                             SimdMode simd, int* passes) {
-  switch (resolve_simd_mode(simd)) {
+std::optional<CycleSimStats> frames_batched_at(
+    const Netlist& n, const std::vector<std::vector<char>>& frames,
+    SimdMode mode, int* passes) {
+  switch (mode) {
     case SimdMode::kU64:
       return simulate_frames_batched_t<std::uint64_t>(n, frames, passes);
     case SimdMode::kX2:
@@ -215,6 +216,25 @@ CycleSimStats frames_batched(const Netlist& n,
   HLP_CHECK(false, "unreachable SIMD dispatch (frames)");
 }
 
+CycleSimStats frames_batched(const Netlist& n,
+                             const std::vector<std::vector<char>>& frames,
+                             SimdMode simd,
+                             detail::LatchRecurrence* recurrence) {
+  const SimdMode mode = resolve_simd_mode(simd);
+  int passes = 0;
+  int lanes = simd_lanes(mode);
+  std::optional<CycleSimStats> stats =
+      frames_batched_at(n, frames, mode, &passes);
+  // A wider word's latch recurrence gave up on a state that does not
+  // forget its start; the u64 instantiation never gives up.
+  if (!stats) {
+    stats = simulate_frames_batched_t<std::uint64_t>(n, frames, &passes);
+    lanes = 64;
+  }
+  if (recurrence) *recurrence = {passes, passes ? lanes : 0};
+  return *std::move(stats);
+}
+
 }  // namespace
 
 CycleSimStats simulate_frames_batched(
@@ -223,12 +243,12 @@ CycleSimStats simulate_frames_batched(
   return frames_batched(n, frames, simd, nullptr);
 }
 
-int detail::latch_recurrence_passes(
+detail::LatchRecurrence detail::latch_recurrence(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
     SimdMode simd) {
-  int passes = 0;
-  frames_batched(n, frames, simd, &passes);
-  return passes;
+  LatchRecurrence recurrence;
+  frames_batched(n, frames, simd, &recurrence);
+  return recurrence;
 }
 
 CycleSimStats simulate_frames(const Netlist& n,

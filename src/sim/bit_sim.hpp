@@ -22,16 +22,18 @@
 //  - simulate_frames_batched: ONE stimulus sequence, one word of
 //    consecutive cycles at a time. Cycles are made independent in two
 //    word-parallel phases. Phase 1 computes every cycle's latch state by
-//    time partitioning: each lane owns one contiguous segment of frames,
-//    starts a warm-up early from a guessed state, and all lanes step
+//    time partitioning: each lane owns one contiguous segment of frames
+//    and starts it from a guessed state (frame 0's), and all lanes step
 //    together through zero-delay evaluations of the latch-D fanin cone;
 //    lanes whose segment start does not match the state their
 //    predecessor ended in are re-run from that state until every boundary
 //    matches, which makes the result the sequential recurrence's, bit for
-//    bit. The datapaths here forget a guessed state within one input
-//    sample, so one pass is the norm; a state that never forgets (a
-//    free-running counter) re-runs one lane per pass, about one word step
-//    per frame. A netlist without latches skips phase 1. Phase 2 replays
+//    bit. The datapaths here forget a guessed state within about one and
+//    a half input samples, so one short re-run pass is the norm. A state
+//    that never forgets (a free-running counter) settles one lane per
+//    pass, about one word step per frame; a word wider than 64 lanes
+//    hands such a netlist to the u64 word, whose steps are cheapest. A
+//    netlist without latches skips phase 1. Phase 2 replays
 //    each cycle block: a single topological pass yields all settled
 //    states, then one event-driven unit-delay settle on words reproduces
 //    every transient, glitches included.
@@ -119,13 +121,20 @@ std::vector<CycleSimStats> simulate_batch(
 
 namespace detail {
 
-/// How many passes simulate_frames_batched's latch recurrence takes on
-/// these frames at this word width: 1 when every lane's warm-up forgot its
-/// guessed start, more when lanes had to be re-run; 0 without latches or
-/// frames. Runs the whole batched simulation; for tests.
-int latch_recurrence_passes(const Netlist& n,
-                            const std::vector<std::vector<char>>& frames,
-                            SimdMode simd = SimdMode::kU64);
+/// What simulate_frames_batched's latch recurrence did on these frames at
+/// this word width. Runs the whole batched simulation; for tests.
+struct LatchRecurrence {
+  /// 1 when every lane started from the right state, 2 when one re-run
+  /// pass absorbed the guessed starts, more when lanes kept their guess
+  /// for longer than a segment; 0 without latches or frames.
+  int passes = 0;
+  /// Lanes of the word that ran it: the width asked for, or 64 when a
+  /// wider word gave up on a state that does not forget its start.
+  int lanes = 0;
+};
+LatchRecurrence latch_recurrence(const Netlist& n,
+                                 const std::vector<std::vector<char>>& frames,
+                                 SimdMode simd = SimdMode::kU64);
 
 }  // namespace detail
 

@@ -13,7 +13,7 @@
 
 namespace hlp::detail {
 
-CycleSimStats simulate_frames_batched_avx2(
+std::optional<CycleSimStats> simulate_frames_batched_avx2(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
     int* passes) {
   return simulate_frames_batched_t<AvxWord256>(n, frames, passes);

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -382,13 +383,6 @@ class BitSimulatorT {
 
 namespace detail {
 
-/// Frames a lane replays before its own segment, from a guessed state, so
-/// that its state has forgotten the guess when the segment starts. The
-/// mapped datapaths rewrite every register from the primary inputs within
-/// one input sample; a lane that has not forgotten is simply re-run, so
-/// this only trades warm-up steps against re-run steps.
-constexpr std::size_t kWarmupFrames = 64;
-
 /// OR the primary-input bits of up to kLanes frames into word `p` of the
 /// PI rows: lane l of packed[s][p] takes byte s of rows[l] (nonzero = 1,
 /// as in the scalar path; a null row reads 0). Eight lanes by eight PIs
@@ -421,22 +415,6 @@ void pack_pi_word(const std::vector<const char*>& rows, std::size_t np,
         if (rows[l0 + r])
           T::or_lane(packed[s][p], l0 + r, rows[l0 + r][s] != 0 ? 1u : 0u);
   }
-}
-
-/// `w` with every lane moved up by `k` lanes (lane l takes lane l - k;
-/// lanes below k read 0).
-template <typename W>
-W shift_lanes_up(const W& w, std::size_t k) {
-  using T = WordTraits<W>;
-  constexpr int kLimbs = T::kLanes / 64;
-  W r = T::zero();
-  const int q = static_cast<int>(k / 64), b = static_cast<int>(k % 64);
-  for (int c = q; c < kLimbs; ++c) {
-    std::uint64_t v = T::limb(w, c - q) << b;
-    if (b && c > q) v |= T::limb(w, c - q - 1) >> (64 - b);
-    T::set_limb(r, c, v);
-  }
-  return r;
 }
 
 /// Rewrite one source's bit row of `seg` words from segment-major to
@@ -474,28 +452,39 @@ void segments_to_cycles(std::vector<W>& row, std::size_t seg,
       T::set_limb(row[b], c, scratch[b * kLimbs + c]);
 }
 
+/// Re-run frames after which a state that still remembers its guessed
+/// start is taken not to forget it. The mapped datapaths rewrite every
+/// register from the primary inputs within about one and a half input
+/// samples (at most 59 frames on the paper designs), well inside this; a
+/// free-running counter or an LFSR never forgets.
+constexpr std::size_t kForgetFrames = 256;
+
 /// Phase 1 of simulate_frames_batched_t: the latch-state recurrence,
 /// partitioned in time over the word's lanes (Heidelberger & Stone,
 /// "Parallel trace-driven cache simulation by time partitioning", WSC
 /// 1990). Fills packed[s] (sources: the PIs, then the latch Qs) so that
 /// lane m of packed[s][b] is source s in cycle b * kLanes + m, and returns
-/// the number of passes the recurrence took (1 when no lane was re-run).
+/// the number of passes the recurrence took.
 ///
-/// Lane l owns the `seg` consecutive frames from l * seg. Every lane
-/// starts kWarmupFrames early from a guessed state: the one frame 0 starts
-/// from (Q = D of s0), which is exact for the lanes whose warm-up reaches
-/// back to frame 0 — lane 0 among them. All lanes step together through
-/// zero-delay word evaluations of the latch-D fanin cone, and each segment
-/// step's Q words are recorded segment-major. Then state matching: a lane
-/// whose recorded start differs from the state its predecessor's segment
-/// ended in is re-run from that state, and stops once its Q words meet its
-/// recorded trajectory again (from there on both runs coincide). Passes
-/// repeat until no lane differs; by induction from lane 0, every segment
-/// then holds the sequential recurrence's states, bit for bit. Each pass
-/// settles at least the lowest differing lane, so the worst case — a state
-/// that never forgets its start, like a free-running counter — is one lane
-/// per pass: about as many word steps as the sequential loop had cycles.
-/// Last, every row is transposed in place into cycle-major order.
+/// Lane l owns the `seg` consecutive frames from l * seg, and every lane
+/// starts its segment from frame 0's state (Q = D of s0): exact for lane
+/// 0, a guess for the others. All lanes step together through zero-delay
+/// word evaluations of the latch-D fanin cone, and each step's Q words
+/// are recorded segment-major. Then state matching: a lane whose recorded
+/// start differs from the state its predecessor's segment ended in is
+/// re-run from that state, and stops once its Q words meet its recorded
+/// trajectory again (from there on both runs coincide). Passes repeat
+/// until no lane differs; by induction from lane 0, every segment then
+/// holds the sequential recurrence's states, bit for bit. A state that
+/// forgets its start within F frames costs about F re-run steps: one
+/// pass when segments are longer than F, more shorter passes when they
+/// are not. One that never forgets (a free-running counter) settles
+/// only the lowest differing lane per pass, so the recurrence makes about
+/// one word step per frame, and that step is cheapest on the narrowest
+/// word: a word wider than 64 lanes gives up, returning 0, when lanes
+/// still differ after kForgetFrames re-run frames, and the caller runs
+/// the u64 engine instead. Last, every row is transposed in place into
+/// cycle-major order.
 ///
 /// `sim` must hold s0 (the all-zero-source settled state) in every lane.
 template <typename W>
@@ -511,7 +500,6 @@ int latch_recurrence_t(BitSimulatorT<W>& sim, const Netlist& n,
   const std::size_t num_frames = frames.size();
   const std::size_t seg = (num_frames + kLanes - 1) / kLanes;
   const std::size_t used = (num_frames + seg - 1) / seg;
-  const std::size_t warm = std::min(kWarmupFrames, (used - 1) * seg);
 
   // Only the fanin cone of the latch D pins feeds the recurrence.
   std::vector<char> need(n.num_nets(), 0);
@@ -540,34 +528,23 @@ int latch_recurrence_t(BitSimulatorT<W>& sim, const Netlist& n,
     return packed[np + i][j];
   };
 
-  std::vector<W> q(nl), q0(nl), ends(nl);
-  for (std::size_t i = 0; i < nl; ++i)
-    q0[i] = T::fill(s0[latches[i].d] != 0);
-  // Clock edge and zero-delay settle: every Q takes q[i], and the PIs the
-  // words of segment step j moved up by k lanes (k segments back).
-  auto step = [&](std::size_t j, std::size_t k) {
-    for (std::size_t s = 0; s < np; ++s)
-      sim.set_word(pis[s], k ? shift_lanes_up(packed[s][j], k) : packed[s][j]);
+  std::vector<W> q(nl), ends(nl);
+  // Clock edge and zero-delay settle of segment step j: every Q takes
+  // q[i], the PIs their step-j words.
+  auto step = [&](std::size_t j) {
+    for (std::size_t s = 0; s < np; ++s) sim.set_word(pis[s], packed[s][j]);
     for (std::size_t i = 0; i < nl; ++i) sim.set_word(latches[i].q, q[i]);
     sim.settle_zero_delay(cone);
   };
 
-  // Pass 1, warm-up then segments: at step p lane l is at frame
-  // l * seg - warm + p. Lanes at or before frame 0 take its true Q (at step
-  // 0 that is every lane, and D of s0 already is it); earlier frames read
-  // 0 PIs.
-  for (std::size_t p = 0; p < warm + seg; ++p) {
-    const std::size_t at_start = p <= warm ? (warm - p) / seg + 1 : 0;
-    const W exact = T::mask_lo(static_cast<int>(std::min(at_start, kLanes)));
+  // Pass 1: every lane runs its segment from frame 0's state.
+  for (std::size_t i = 0; i < nl; ++i) q[i] = T::fill(s0[latches[i].d] != 0);
+  for (std::size_t j = 0; j < seg; ++j) {
     for (std::size_t i = 0; i < nl; ++i) {
-      q[i] = (sim.word(latches[i].d) & ~exact) | (q0[i] & exact);
-      if (p >= warm) rec(i, p - warm) = q[i];
+      if (j) q[i] = sim.word(latches[i].d);
+      rec(i, j) = q[i];
     }
-    // A warm-up frame d before a lane's segment is step k*seg - d of the
-    // segment k lanes down.
-    const std::size_t d = p < warm ? warm - p : 0;
-    const std::size_t k = (d + seg - 1) / seg;
-    step(p + k * seg - warm, k);
+    step(j);
   }
   for (std::size_t i = 0; i < nl; ++i) ends[i] = sim.word(latches[i].d);
 
@@ -582,6 +559,9 @@ int latch_recurrence_t(BitSimulatorT<W>& sim, const Netlist& n,
   };
   int passes = 1;
   for (W redo = differing(); T::any(redo); redo = differing()) {
+    if (kLanes > 64 &&
+        static_cast<std::size_t>(passes - 1) * seg >= kForgetFrames)
+      return 0;
     ++passes;
     HLP_CHECK(passes <= static_cast<int>(used),
               "latch recurrence did not converge");
@@ -596,7 +576,7 @@ int latch_recurrence_t(BitSimulatorT<W>& sim, const Netlist& n,
       if (!T::any(redo)) break;
       for (std::size_t i = 0; i < nl; ++i)
         rec(i, j) = (rec(i, j) & ~redo) | (q[i] & redo);
-      step(j, 0);
+      step(j);
     }
     for (std::size_t i = 0; i < nl; ++i)
       ends[i] = (ends[i] & ~redo) | (sim.word(latches[i].d) & redo);
@@ -620,8 +600,11 @@ int latch_recurrence_t(BitSimulatorT<W>& sim, const Netlist& n,
 /// event-driven unit-delay settle reproduces every transient, glitches
 /// included. Bit-identical to the scalar path at every width. `passes`,
 /// when non-null, receives phase 1's pass count (0 without latches).
+/// Returns nothing when phase 1 gave up on a state that does not forget
+/// its start: the caller then runs the u64 instantiation, which never
+/// gives up and whose result is the same.
 template <typename W>
-CycleSimStats simulate_frames_batched_t(
+std::optional<CycleSimStats> simulate_frames_batched_t(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
     int* passes = nullptr) {
   using T = WordTraits<W>;
@@ -663,6 +646,7 @@ CycleSimStats simulate_frames_batched_t(
     }
   } else {
     const int p = detail::latch_recurrence_t(sim, n, frames, s0, packed);
+    if (p == 0) return std::nullopt;
     if (passes) *passes = p;
   }
 

@@ -9,6 +9,7 @@
 // them after resolve_simd_mode() confirmed runtime CPU support.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -16,13 +17,13 @@
 
 namespace hlp::detail {
 
-CycleSimStats simulate_frames_batched_avx2(
+std::optional<CycleSimStats> simulate_frames_batched_avx2(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
     int* passes);
 std::vector<CycleSimStats> simulate_batch_avx2(
     const Netlist& n, const std::vector<std::vector<std::vector<char>>>& runs);
 
-CycleSimStats simulate_frames_batched_avx512(
+std::optional<CycleSimStats> simulate_frames_batched_avx512(
     const Netlist& n, const std::vector<std::vector<char>>& frames,
     int* passes);
 std::vector<CycleSimStats> simulate_batch_avx512(

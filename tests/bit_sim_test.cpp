@@ -83,21 +83,6 @@ std::vector<SimdMode> supported_modes() {
   return modes;
 }
 
-int lanes_of(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kX2:
-      return 128;
-    case SimdMode::kX4:
-    case SimdMode::kAvx2:
-      return 256;
-    case SimdMode::kX8:
-    case SimdMode::kAvx512:
-      return 512;
-    default:
-      return 64;
-  }
-}
-
 // A free-running `bits`-bit counter (D = Q + 1 through a ripple carry) with
 // one PI that only reaches an output: its state never forgets its start.
 Netlist counter_netlist(int bits) {
@@ -220,7 +205,7 @@ TEST(BitSim, MatchesScalarOnPureCombinational) {
       const std::string what = std::string(simd_mode_name(mode)) +
                                " T=" + std::to_string(num_frames);
       expect_identical(scalar, simulate_frames_batched(n, frames, mode), what);
-      EXPECT_EQ(detail::latch_recurrence_passes(n, frames, mode), 0) << what;
+      EXPECT_EQ(detail::latch_recurrence(n, frames, mode).passes, 0) << what;
     }
   }
 }
@@ -390,42 +375,55 @@ TEST(BitSimWidths, FramesBatchedMatchesScalarAtEveryWidth) {
   }
 }
 
-TEST(BitSimRecurrence, MappedDatapathsConvergeInOnePass) {
+TEST(BitSimRecurrence, MappedDatapathsForgetTheirGuessedStart) {
   // The registers of a mapped datapath are rewritten from the PIs within
-  // one input sample, so every lane's warm-up forgets its guessed start.
+  // about one and a half input samples. Segments longer than that (1000
+  // samples) absorb every lane's guessed start in one re-run pass; short
+  // ones (50 samples, 2 frames a lane at 512 lanes) take several passes,
+  // but no width gives up on them.
   for (const auto& [name, rc] :
        {std::pair<std::string, ResourceConstraint>{"wang", {2, 2}},
         std::pair<std::string, ResourceConstraint>{"mcm", {4, 2}}}) {
-    const MappedDesign d = mapped_design(name, rc, 50);
-    ASSERT_FALSE(d.lut.latches().empty()) << name;
-    for (const SimdMode mode : supported_modes())
-      EXPECT_EQ(detail::latch_recurrence_passes(d.lut, d.frames, mode), 1)
-          << name << " " << simd_mode_name(mode);
+    for (const int vectors : {50, 1000}) {
+      const MappedDesign d = mapped_design(name, rc, vectors);
+      ASSERT_FALSE(d.lut.latches().empty()) << name;
+      for (const SimdMode mode : supported_modes()) {
+        const std::string what = name + " " + simd_mode_name(mode) + " " +
+                                 std::to_string(vectors) + " vectors";
+        const auto r = detail::latch_recurrence(d.lut, d.frames, mode);
+        if (vectors == 1000) EXPECT_EQ(r.passes, 2) << what;
+        EXPECT_EQ(r.lanes, simd_lanes(mode)) << what;
+      }
+    }
   }
 }
 
-TEST(BitSimRecurrence, PiLoadedRegistersConvergeInOnePass) {
+TEST(BitSimRecurrence, PiLoadedRegistersForgetTheirGuessedStartInOneReRun) {
   const Netlist n = pi_reset_netlist();
   const auto frames = random_vectors(2000, 4, 77);
   const CycleSimStats scalar = simulate_frames(n, frames);
   for (const SimdMode mode : supported_modes()) {
-    EXPECT_EQ(detail::latch_recurrence_passes(n, frames, mode), 1)
-        << simd_mode_name(mode);
+    const auto r = detail::latch_recurrence(n, frames, mode);
+    EXPECT_EQ(r.passes, 2) << simd_mode_name(mode);
+    EXPECT_EQ(r.lanes, simd_lanes(mode)) << simd_mode_name(mode);
     expect_identical(scalar, simulate_frames_batched(n, frames, mode),
                      simd_mode_name(mode));
   }
 }
 
-TEST(BitSimRecurrence, StateThatNeverForgetsForcesReRuns) {
-  // Lanes past the first warm-up start from a wrong guess that never fades,
-  // so state matching must re-run them (one lane settles per pass at
-  // worst) and still reproduce the sequential recurrence.
+TEST(BitSimRecurrence, StateThatNeverForgetsRunsOnTheU64Word) {
+  // Every lane but the first starts from a wrong guess that never fades,
+  // so state matching must re-run lanes (one settles per pass) and still
+  // reproduce the sequential recurrence. A wider word gives up once the
+  // re-runs have covered 256 frames, and the u64 word finishes the job.
   for (const Netlist& n : {counter_netlist(10), lfsr_netlist()}) {
     const auto frames = random_vectors(513, 1, 99);
     const CycleSimStats scalar = simulate_frames(n, frames);
     for (const SimdMode mode : supported_modes()) {
       const std::string what = n.name() + " " + simd_mode_name(mode);
-      EXPECT_GT(detail::latch_recurrence_passes(n, frames, mode), 1) << what;
+      const auto r = detail::latch_recurrence(n, frames, mode);
+      EXPECT_GT(r.passes, 2) << what;
+      EXPECT_EQ(r.lanes, 64) << what;
       expect_identical(scalar, simulate_frames_batched(n, frames, mode), what);
     }
   }
@@ -434,7 +432,7 @@ TEST(BitSimRecurrence, StateThatNeverForgetsForcesReRuns) {
 TEST(BitSimRecurrence, MatchesScalarAtSegmentEdgesOnEveryWidth) {
   // Frame counts around every segment edge: none, one, one word of lanes
   // and either side of it, 513, and 3 * lanes + 5 (segments of 4 frames,
-  // shorter than the warm-up, so warm-ups reach across several segments).
+  // shorter than an input sample, so guesses survive several re-runs).
   std::vector<std::pair<std::string, Netlist>> netlists;
   std::vector<std::vector<std::vector<char>>> stimuli;
   for (const auto& [name, rc] :
@@ -453,7 +451,7 @@ TEST(BitSimRecurrence, MatchesScalarAtSegmentEdgesOnEveryWidth) {
     const auto& [name, n] = netlists[k];
     std::map<int, CycleSimStats> scalar;  // by frame count
     for (const SimdMode mode : supported_modes()) {
-      const int lanes = lanes_of(mode);
+      const int lanes = simd_lanes(mode);
       for (const int count :
            {0, 1, lanes - 1, lanes, lanes + 1, 513, 3 * lanes + 5}) {
         ASSERT_LE(static_cast<std::size_t>(count), stimuli[k].size()) << name;
